@@ -17,7 +17,6 @@ from .autodiff import (
     max_pool2d,
     relu,
     softmax_channels,
-    windowed_mean,
     windowed_variance,
 )
 from .backbone import (
@@ -39,9 +38,7 @@ from .data import Sample, SynthConfig, gen_synthetic, load_dataset
 from .mcdf import (
     ScoreStack,
     SkipHeadParams,
-    consistency_coeff,
     fuse_scores,
-    local_std,
     score_heads,
     sum_fuse,
 )

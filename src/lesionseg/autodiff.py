@@ -247,19 +247,6 @@ def log(x: Tensor) -> Tensor:
     return out
 
 
-def sqrt(x: Tensor) -> Tensor:
-    # subgradient 0 at exactly-zero inputs, so constant regions stay silent
-    root = np.sqrt(x.data)
-    out = Tensor(root, requires_grad=x.requires_grad, _parents=(x,), _op="sqrt")
-
-    def _bw(g):
-        if x.requires_grad:
-            safe = np.where(root > 0, root, 1.0)
-            x._accum(np.where(root > 0, g / (2.0 * safe), 0.0))
-    out._backward = _bw
-    return out
-
-
 def clip_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor) elementwise; gradient is zero where the floor is active."""
     out = Tensor(np.maximum(x.data, floor), requires_grad=x.requires_grad,
@@ -555,7 +542,7 @@ def softmax_channels(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# windowed mean (edge-replicated box filter), used by the decision fusion
+# windowed variance (edge-replicated box filter), used by the decision fusion
 # ---------------------------------------------------------------------------
 
 def _box_sums(arr: np.ndarray, l: int) -> np.ndarray:
@@ -578,36 +565,6 @@ def _edge_fold(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
         gp[..., :, w + r - 1] += gp[..., :, w + r:].sum(axis=-1)
         gp = gp[..., :, r:r + w]
     return gp
-
-
-def windowed_mean(x: Tensor, window: int) -> Tensor:
-    """Mean over the l x l neighborhood of each pixel, edge-replicated.
-
-    Output spatial dims equal the input's. window must be odd; window 1 is
-    the identity.
-    """
-    if window < 1 or window % 2 == 0:
-        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
-    if window == 1:
-        return x
-    r = (window - 1) // 2
-    h, w = x.shape[-2], x.shape[-1]
-    pad = [(0, 0)] * (x.ndim - 2) + [(r, r), (r, r)]
-    xp = np.pad(x.data, pad, mode="edge")
-    out_data = _box_sums(xp, window) / (window * window)
-
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,),
-                 _op="windowed_mean")
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
-        zpad = [(0, 0)] * (g.ndim - 2) + [(window - 1, window - 1)] * 2
-        gz = np.pad(g / (window * window), zpad)
-        gp = _box_sums(gz, window)
-        x._accum(_edge_fold(gp, r, h, w))
-    out._backward = _bw
-    return out
 
 
 # Relative floor below which the cancellation form mean(x^2) - mean(x)^2 is

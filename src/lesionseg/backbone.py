@@ -8,8 +8,10 @@ feeds the dilated bank. He-style seeded init replaces pretraining.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -135,22 +137,30 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> None:
+    """Writes a temporary file that then replaces path, so a failed write
+    leaves no truncated checkpoint."""
     echo_bytes = "".join(f"{k}={v}\n" for k, v in sorted(echo.items())).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(echo_bytes)))
-        fh.write(echo_bytes)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            data = params[name].data
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(echo_bytes)))
+            fh.write(echo_bytes)
+            fh.write(struct.pack("<I", len(params)))
+            for name in sorted(params):
+                data = params[name].data
+                encoded = name.encode()
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", data.ndim))
+                for dim in data.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:

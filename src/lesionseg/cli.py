@@ -1,8 +1,9 @@
 """Command-line workflow: gen-data | train | eval | predict | gradcheck.
 
 Configuration is a flat key=value text file ('#' starts a comment). Every key
-has a default; unknown keys are a hard error so typos cannot silently fall
-back. --set key=value overrides individual entries from the command line.
+has a type and a default (see KEYS); unknown keys and values of the wrong type
+are hard errors so typos cannot silently fall back. --set key=value overrides
+individual entries from the command line.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .backbone import BackboneConfig, ConfigError, load_checkpoint, save_checkpoint
+from .backbone import ConfigError, load_checkpoint, save_checkpoint
 from .data import (
     DatasetError,
-    SynthConfig,
     gen_synthetic,
     load_dataset,
     read_manifest,
@@ -26,50 +24,44 @@ from .data import (
     write_sample,
 )
 from .metrics import summary_table, write_ja_histogram, write_metrics_csv
-from .model import (
-    ModelConfig,
-    config_echo,
-    config_from_echo,
-    predict_mask,
-)
+from .model import MODEL_KEYS, RUN_KEYS, config_echo, config_from_echo, predict_mask
+from .schema import Schema, build, field_default, field_type, format_value, parse_value
 from .training import TrainConfig, evaluate, train, write_loss_log
 
+# Every configuration key: key -> (section, field). The field's type and
+# default are the key's (see schema.py); the model's keys come from model.py.
+KEYS: Schema = {
+    **MODEL_KEYS,
+    **RUN_KEYS,
+    "seed": ("train", "seed"),
+    "mcdf.stop_grad_alpha": ("train", "stop_grad_alpha"),
+    "train.base_lr": ("train", "base_lr"),
+    "train.power": ("train", "power"),
+    "train.max_iter": ("train", "max_iter"),
+    "train.batch_size": ("train", "batch_size"),
+    "train.class_weights": ("train", "class_weights"),
+    "train.momentum": ("train", "momentum"),
+    "train.augment": ("train", "augment"),
+    "synth.count": ("synth", "count"),
+    "synth.size": ("synth", "size"),
+    "synth.lesion_fraction": ("synth", "lesion_fraction"),
+    "synth.contrast": ("synth", "contrast"),
+    "synth.noise_std": ("synth", "noise_std"),
+    "synth.hair_prob": ("synth", "hair_prob"),
+}
+# the keys that set no dataclass field, with their defaults (and so types)
+LITERAL_KEYS = {"image_size": 64, "train.split": 0.8}
+
+
+def _type(key: str):
+    if key in LITERAL_KEYS:
+        return type(LITERAL_KEYS[key])
+    return field_type(*KEYS[key])
+
+
 DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "image_size": "64",
-    # encoder
-    "backbone.channels": "8,16,32,32,32",
-    "backbone.strides": "1,2,2,1,1",
-    "backbone.reduce": "16",
-    "backbone.in_channels": "3",
-    # dilated bank and bi-directional refinement (published rate schedule)
-    "bank.rates": "3,6,12,18,24",
-    "bank.channels": "16",
-    "bidfl.fusion": "concat_all",
-    "bidfl.reducer_relu": "true",
-    "bidfl.bank_relu": "true",
-    # consistency fusion
-    "mcdf.windows": "3,3,3,5,7,9,11,13,15,17",
-    "mcdf.sigma_sq": "10",
-    "mcdf.stop_grad_alpha": "false",
-    # optimization
-    "train.base_lr": "1e-3",
-    "train.power": "0.9",
-    "train.max_iter": "1000",
-    "train.batch_size": "4",
-    "train.class_weights": "0.8,0.2",
-    "train.momentum": "0",
-    "train.augment": "true",
-    "train.use_bidfl": "true",
-    "train.use_mcdf": "true",
-    "train.split": "0.8",
-    # synthetic data
-    "synth.count": "200",
-    "synth.size": "64",
-    "synth.lesion_fraction": "0.05,0.4",
-    "synth.contrast": "0.25,0.6",
-    "synth.noise_std": "0.03",
-    "synth.hair_prob": "0.3",
+    **{key: format_value(field_default(*row), _type(key)) for key, row in KEYS.items()},
+    **{key: format_value(value, _type(key)) for key, value in LITERAL_KEYS.items()},
 }
 
 ABLATIONS = {
@@ -106,75 +98,21 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
         if key not in DEFAULTS:
             raise ConfigError(f"unknown configuration key {key!r}")
         config[key] = value
+    for key, value in config.items():
+        parse_value(key, value, _type(key))
     return config
 
 
-def _ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(","))
-
-
-def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(","))
-
-
-def _bool(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-def synth_config(cfg: dict[str, str]) -> SynthConfig:
-    return SynthConfig(
-        count=int(cfg["synth.count"]),
-        size=int(cfg["synth.size"]),
-        seed=int(cfg["seed"]),
-        lesion_fraction=_floats(cfg["synth.lesion_fraction"]),
-        contrast=_floats(cfg["synth.contrast"]),
-        noise_std=float(cfg["synth.noise_std"]),
-        hair_prob=float(cfg["synth.hair_prob"]),
-    )
-
-
-def model_config(cfg: dict[str, str]) -> ModelConfig:
-    backbone = BackboneConfig(
-        channels=_ints(cfg["backbone.channels"]),
-        strides=_ints(cfg["backbone.strides"]),
-        reduce_channels=int(cfg["backbone.reduce"]),
-        in_channels=int(cfg["backbone.in_channels"]),
-    )
-    return ModelConfig(
-        backbone=backbone,
-        rates=_ints(cfg["bank.rates"]),
-        bank_channels=int(cfg["bank.channels"]),
-        windows=_ints(cfg["mcdf.windows"]),
-        fusion=cfg["bidfl.fusion"],
-        reducer_relu=_bool(cfg["bidfl.reducer_relu"]),
-        bank_relu=_bool(cfg["bidfl.bank_relu"]),
-    )
+def config_value(cfg: dict[str, str], key: str):
+    """One key's value, parsed against its type."""
+    return parse_value(key, cfg[key], _type(key))
 
 
 def train_config(cfg: dict[str, str], ablation: str | None = None) -> TrainConfig:
-    use_bidfl = _bool(cfg["train.use_bidfl"])
-    use_mcdf = _bool(cfg["train.use_mcdf"])
+    switches = {}
     if ablation is not None:
-        use_bidfl, use_mcdf = ABLATIONS[ablation]
-    return TrainConfig(
-        model=model_config(cfg),
-        base_lr=float(cfg["train.base_lr"]),
-        power=float(cfg["train.power"]),
-        max_iter=int(cfg["train.max_iter"]),
-        class_weights=_floats(cfg["train.class_weights"]),
-        sigma_sq=float(cfg["mcdf.sigma_sq"]),
-        seed=int(cfg["seed"]),
-        batch_size=int(cfg["train.batch_size"]),
-        use_bidfl=use_bidfl,
-        use_mcdf=use_mcdf,
-        momentum=float(cfg["train.momentum"]),
-        augment=_bool(cfg["train.augment"]),
-        stop_grad_alpha=_bool(cfg["mcdf.stop_grad_alpha"]),
-    )
+        switches = dict(zip(("use_bidfl", "use_mcdf"), ABLATIONS[ablation]))
+    return build("train", KEYS, cfg, **switches)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +121,12 @@ def train_config(cfg: dict[str, str], ablation: str | None = None) -> TrainConfi
 
 def cmd_gen_data(args) -> int:
     cfg = parse_config(args.config, args.set)
-    samples = gen_synthetic(synth_config(cfg))
+    samples = gen_synthetic(build("synth", KEYS, cfg, seed=config_value(cfg, "seed")))
     out = Path(args.out)
     for sample in samples:
         write_sample(sample, out, fmt=args.format)
-    train_split, val_split = split_dataset(samples, float(cfg["train.split"]),
-                                           int(cfg["seed"]))
+    train_split, val_split = split_dataset(samples, config_value(cfg, "train.split"),
+                                           config_value(cfg, "seed"))
     val_ids = {s.id for s in val_split}
     write_manifest(out, [(s.id, "val" if s.id in val_ids else "train")
                          for s in samples])
@@ -213,7 +151,7 @@ def _load_split(data_dir: str, size: int) -> tuple[list, list]:
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, args.set)
     tc = train_config(cfg, args.ablation)
-    train_set, _ = _load_split(args.data, int(cfg["image_size"]))
+    train_set, _ = _load_split(args.data, config_value(cfg, "image_size"))
     state, records = train(train_set, tc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,7 +174,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"checkpoint was trained with ablation "
                 f"bidfl={use_bidfl}/mcdf={use_mcdf}, not {args.ablation!r}")
-    train_set, val_set = _load_split(args.data, int(cfg["image_size"]))
+    train_set, val_set = _load_split(args.data, config_value(cfg, "image_size"))
     chosen = {"val": val_set, "train": train_set,
               "all": train_set + val_set}[args.split]
     if not chosen:
@@ -257,7 +195,7 @@ def cmd_predict(args) -> int:
     cfg = parse_config(args.config, args.set)
     params, echo = load_checkpoint(args.checkpoint)
     mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
-    samples = load_dataset(args.input, size=int(cfg["image_size"]))
+    samples = load_dataset(args.input, size=config_value(cfg, "image_size"))
     if not samples:
         raise DatasetError(f"no samples under {args.input}")
     out = Path(args.out)

@@ -23,7 +23,6 @@ from .autodiff import (
     max_pool2d,
     relu,
     softmax_channels,
-    windowed_mean,
     windowed_variance,
 )
 from .backbone import BackboneConfig
@@ -107,10 +106,10 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         return grad_check(lambda t: (softmax_channels(t) * w).sum(),
                           Tensor(rng.standard_normal((3, 4, 4))))
 
-    def wmean():
-        w = Tensor(rng.standard_normal((2, 6, 6)))
-        return grad_check(lambda t: (windowed_mean(t, 5) * w).sum(),
-                          Tensor(rng.standard_normal((2, 6, 6))))
+    def wvar_batched():
+        w = Tensor(rng.standard_normal((2, 2, 6, 6)))
+        return grad_check(lambda t: (windowed_variance(t, 5) * w).sum(),
+                          Tensor(rng.standard_normal((2, 2, 6, 6))))
 
     def wvar():
         w = Tensor(rng.standard_normal((2, 6, 6)))
@@ -167,8 +166,8 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         ("relu", relu_case),
         ("max_pool2d", max_pool),
         ("softmax_channels", softmax),
-        ("windowed_mean", wmean),
         ("windowed_variance", wvar),
+        ("windowed_variance_batched", wvar_batched),
         ("softmax_cross_entropy", softmax_ce),
         ("mcdf_fusion", mcdf_fusion),
         ("full_pipeline_input", full_pipeline),

@@ -20,7 +20,6 @@ from .autodiff import (
     conv2d,
     conv_transpose2d,
     exp,
-    sqrt,
     windowed_variance,
 )
 from .backbone import BlockFeatures, ConfigError, he_kernel
@@ -58,18 +57,6 @@ class ScoreStack:
 
     def __len__(self) -> int:
         return len(self.maps)
-
-
-def local_std(score: Tensor, window: int) -> Tensor:
-    """Windowed population standard deviation with edge replication."""
-    return sqrt(windowed_variance(score, window))
-
-
-def consistency_coeff(sigma_map: Tensor, sigma_sq: float) -> Tensor:
-    """Reliability weight exp(-sigma^2 / sigma_sq), in (0, 1] elementwise."""
-    if sigma_sq <= 0:
-        raise NonpositiveSigmaError(f"sigma_sq must be positive, got {sigma_sq}")
-    return exp(-(sigma_map * sigma_map) / sigma_sq)
 
 
 def fuse_scores(stack: ScoreStack, stop_grad_alpha: bool = False) -> Tensor:

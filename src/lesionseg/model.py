@@ -32,10 +32,35 @@ from .mcdf import (
     score_heads,
     sum_fuse,
 )
+from .schema import Schema, build, field_type, format_value, sections
 
 PAPER_RATES = (3, 6, 12, 18, 24)
 PAPER_WINDOWS = (3, 3, 3, 5, 7, 9, 11, 13, 15, 17)
 DESK_RATES = (1, 2, 4, 6, 8)
+
+# configuration keys -> (section, field); see schema.py
+MODEL_KEYS: Schema = {
+    "backbone.channels": ("backbone", "channels"),
+    "backbone.strides": ("backbone", "strides"),
+    "backbone.reduce": ("backbone", "reduce_channels"),
+    "backbone.in_channels": ("backbone", "in_channels"),
+    "bank.rates": ("model", "rates"),
+    "bank.channels": ("model", "bank_channels"),
+    "bidfl.fusion": ("model", "fusion"),
+    "bidfl.reducer_relu": ("model", "reducer_relu"),
+    "bidfl.bank_relu": ("model", "bank_relu"),
+    "mcdf.windows": ("model", "windows"),
+}
+# how a trained model runs
+RUN_KEYS: Schema = {
+    "train.use_bidfl": ("train", "use_bidfl"),
+    "train.use_mcdf": ("train", "use_mcdf"),
+    "mcdf.sigma_sq": ("train", "sigma_sq"),
+}
+# what a checkpoint records
+ECHO_KEYS: Schema = {**MODEL_KEYS, **RUN_KEYS,
+                     "model.num_classes": ("model", "num_classes"),
+                     "train.seed": ("train", "seed")}
 
 
 @dataclass(frozen=True)
@@ -117,47 +142,16 @@ def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
 def config_echo(config: ModelConfig, use_bidfl: bool, use_mcdf: bool,
                 sigma_sq: float, seed: int) -> dict[str, str]:
     """Flat text snapshot stored in checkpoints, enough to rebuild the model."""
-    bb = config.backbone
-    return {
-        "backbone.channels": ",".join(map(str, bb.channels)),
-        "backbone.strides": ",".join(map(str, bb.strides)),
-        "backbone.reduce": str(bb.reduce_channels),
-        "backbone.in_channels": str(bb.in_channels),
-        "bank.rates": ",".join(map(str, config.rates)),
-        "bank.channels": str(config.bank_channels),
-        "mcdf.windows": ",".join(map(str, config.windows)),
-        "bidfl.fusion": config.fusion,
-        "bidfl.reducer_relu": str(config.reducer_relu).lower(),
-        "bidfl.bank_relu": str(config.bank_relu).lower(),
-        "model.num_classes": str(config.num_classes),
-        "train.use_bidfl": str(use_bidfl).lower(),
-        "train.use_mcdf": str(use_mcdf).lower(),
-        "mcdf.sigma_sq": repr(float(sigma_sq)),
-        "train.seed": str(seed),
-    }
+    run = sections()["train"](model=config, use_bidfl=use_bidfl, use_mcdf=use_mcdf,
+                              sigma_sq=sigma_sq, seed=seed)
+    owners = {"backbone": config.backbone, "model": config, "train": run}
+    return {key: format_value(getattr(owners[section], name), field_type(section, name))
+            for key, (section, name) in ECHO_KEYS.items()}
 
 
 def config_from_echo(echo: dict[str, str]) -> tuple[ModelConfig, bool, bool, float]:
-    def ints(key):
-        return tuple(int(v) for v in echo[key].split(","))
-
-    backbone = BackboneConfig(
-        channels=ints("backbone.channels"),
-        strides=ints("backbone.strides"),
-        reduce_channels=int(echo["backbone.reduce"]),
-        in_channels=int(echo.get("backbone.in_channels", "3")),
-    )
-    config = ModelConfig(
-        backbone=backbone,
-        rates=ints("bank.rates"),
-        bank_channels=int(echo["bank.channels"]),
-        windows=ints("mcdf.windows"),
-        fusion=echo.get("bidfl.fusion", "concat_all"),
-        reducer_relu=echo.get("bidfl.reducer_relu", "true") == "true",
-        bank_relu=echo.get("bidfl.bank_relu", "true") == "true",
-        num_classes=int(echo.get("model.num_classes", "2")),
-    )
-    use_bidfl = echo["train.use_bidfl"] == "true"
-    use_mcdf = echo["train.use_mcdf"] == "true"
-    sigma_sq = float(echo["mcdf.sigma_sq"])
-    return config, use_bidfl, use_mcdf, sigma_sq
+    try:
+        run = build("train", ECHO_KEYS, echo)
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint echo: {err}") from None
+    return run.model, run.use_bidfl, run.use_mcdf, run.sigma_sq

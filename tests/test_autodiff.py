@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from lesionseg.autodiff import (
     ConvParams,
     DegenerateOutputError,
-    EvenWindowError,
     NonScalarRootError,
     ShapeMismatchError,
     Tensor,
@@ -16,7 +15,6 @@ from lesionseg.autodiff import (
     max_pool2d,
     relu,
     softmax_channels,
-    windowed_mean,
 )
 
 
@@ -310,38 +308,6 @@ class TestPointwiseOps:
         assert (moderate > 0).all() and (moderate < 1).all()
 
 
-class TestWindowedMean:
-    def test_constant_map(self):
-        out = windowed_mean(Tensor(np.full((1, 6, 6), 3.25)), 5)
-        assert_allclose(out.data, 3.25, rtol=1e-12)
-
-    def test_window1_identity(self):
-        x = Tensor(np.random.default_rng(12).standard_normal((2, 4, 4)))
-        assert windowed_mean(x, 1) is x
-
-    def test_center_is_full_mean(self):
-        x = np.arange(9, dtype=float).reshape(1, 3, 3) * 1.7
-        out = windowed_mean(Tensor(x), 3)
-        assert out.data[0, 1, 1] == pytest.approx(x.mean(), rel=1e-14)
-
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((2, 7, 6))
-        for l in (3, 5):
-            r = (l - 1) // 2
-            xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="edge")
-            want = np.zeros_like(x)
-            for c in range(2):
-                for i in range(7):
-                    for j in range(6):
-                        want[c, i, j] = xp[c, i:i + l, j:j + l].mean()
-            assert_allclose(windowed_mean(Tensor(x), l).data, want, atol=1e-12)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(EvenWindowError):
-            windowed_mean(Tensor(np.zeros((1, 4, 4))), 2)
-
-
 class TestGradChecks:
     """Every differentiable primitive against central differences."""
 
@@ -418,9 +384,3 @@ class TestGradChecks:
 
         err = grad_check(ce, Tensor(self.rng.standard_normal((2, 3, 3))))
         assert err < 1e-6
-
-    def test_windowed_mean_gradient(self):
-        w = Tensor(self.rng.standard_normal((2, 6, 6)))
-        err = grad_check(lambda t: (windowed_mean(t, 3) * w).sum(),
-                         Tensor(self.rng.standard_normal((2, 6, 6))))
-        assert err < 1e-7

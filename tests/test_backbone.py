@@ -123,3 +123,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_old_file(tmp_path):
+    class Unreadable:
+        @property
+        def data(self):
+            raise RuntimeError("write interrupted")
+
+    params = init_params(DESK, seed=13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, {"seed": "13"})
+    before = path.read_bytes()
+    # sorted last, so the write fails after every other record is written
+    broken = {**params, "zzz.kernel": Unreadable()}
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        save_checkpoint(path, broken, {"seed": "14"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -4,8 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lesionseg.backbone import ConfigError, load_checkpoint
-from lesionseg.cli import DEFAULTS, main, parse_config
+from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
+from lesionseg.cli import DEFAULTS, config_value, main, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# every key a checkpoint echo holds, spelled as checkpoints spell them
+ECHO_KEYS = [
+    "backbone.channels", "backbone.in_channels", "backbone.reduce",
+    "backbone.strides", "bank.channels", "bank.rates", "bidfl.bank_relu",
+    "bidfl.fusion", "bidfl.reducer_relu", "mcdf.sigma_sq", "mcdf.windows",
+    "model.num_classes", "train.seed", "train.use_bidfl", "train.use_mcdf",
+]
 
 TINY_OVERRIDES = [
     "backbone.channels=4,6,6,6,6",
@@ -37,9 +46,9 @@ class TestConfigParsing:
     def test_defaults_echo_published_values(self):
         cfg = parse_config(None)
         assert cfg["bank.rates"] == "3,6,12,18,24"
-        assert cfg["mcdf.sigma_sq"] == "10"
+        assert float(cfg["mcdf.sigma_sq"]) == 10.0
         assert cfg["train.class_weights"] == "0.8,0.2"
-        assert cfg["train.base_lr"] == "1e-3"
+        assert float(cfg["train.base_lr"]) == 1e-3
         assert cfg["train.power"] == "0.9"
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -58,6 +67,15 @@ class TestConfigParsing:
     def test_all_defaults_parse(self):
         cfg = parse_config(None)
         assert set(cfg) == set(DEFAULTS)
+
+    def test_readme_table_matches_schema(self):
+        rows = [line.split("|")[1:3] for line in README.read_text().splitlines()
+                if line.startswith("| `")]
+        table = {key.strip().strip("`"): value.strip().strip("`")
+                 for key, value in rows}
+        assert set(table) == set(DEFAULTS)
+        for key, value in table.items():
+            assert config_value(table, key) == config_value(DEFAULTS, key), key
 
 
 class TestGenData:
@@ -92,6 +110,20 @@ class TestExitCodes:
         code = run_cli("gen-data", "--out", str(tmp_path / "x"),
                        "--set", "not.a.key=1")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("setting, message", [
+        ("train.max_iter=abc", "train.max_iter: expected int, got 'abc'"),
+        ("train.class_weights=0.8,x",
+         "train.class_weights: expected tuple[float, float], got '0.8,x'"),
+        ("train.augment=maybe", "train.augment: expected bool, got 'maybe'"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, command, setting, message):
+        args = ["--data", str(tmp_path)] if command == "train" else []
+        code = run_cli(command, "--out", str(tmp_path / "x"), *args,
+                       "--set", setting)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +162,30 @@ class TestWorkflow:
         assert (out / "summary.txt").is_file()
         hist = (out / "ja_histogram.csv").read_text().strip().splitlines()
         assert len(hist) == 11
+
+    @pytest.mark.parametrize("key", ECHO_KEYS)
+    def test_eval_rejects_echo_missing_key(self, workspace, tmp_path, capsys, key):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        assert sorted(echo) == ECHO_KEYS
+        del echo[key]
+        save_checkpoint(tmp_path / "bad.ckpt", params, echo)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                       "--data", str(data), "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: checkpoint echo: {key}: missing\n"
+
+    def test_eval_rejects_echo_bad_value(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        echo["train.seed"] = "x"
+        save_checkpoint(tmp_path / "bad.ckpt", params, echo)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                       "--data", str(data), "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert "train.seed: expected int, got 'x'" in capsys.readouterr().err
 
     def test_eval_ablation_mismatch_rejected(self, workspace, tmp_path):
         root, data, run = workspace

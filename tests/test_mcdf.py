@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lesionseg.autodiff import Tensor, grad_check
+from lesionseg.autodiff import EvenWindowError, Tensor, grad_check, windowed_variance
 from lesionseg.backbone import (
     BackboneConfig,
     BlockFeatures,
@@ -16,11 +16,9 @@ from lesionseg.mcdf import (
     ScoreStack,
     bilinear_kernel,
     classify_upsample,
-    consistency_coeff,
     fuse_scores,
     head_params_from,
     init_head_params,
-    local_std,
     score_heads,
     sum_fuse,
 )
@@ -47,20 +45,23 @@ def scalar_fusion_oracle(maps, windows, sigma_sq):
 
 
 class TestLocalStd:
+    """The paper's local standard deviation, which windowed_variance yields
+    squared: the form the consistency weight uses."""
+
     def test_constant_map_zero(self):
-        out = local_std(Tensor(np.full((2, 6, 6), 4.2)), 3)
+        out = windowed_variance(Tensor(np.full((2, 6, 6), 4.2)), 3)
         assert not out.data.any()
 
     def test_window1_zero(self):
         rng = np.random.default_rng(0)
-        out = local_std(Tensor(rng.standard_normal((1, 5, 5))), 1)
+        out = windowed_variance(Tensor(rng.standard_normal((1, 5, 5))), 1)
         assert not out.data.any()
 
     def test_hand_derived_center_value(self):
         grid = np.array([[[0.0, 2.0, 0.0], [2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]])
-        out = local_std(Tensor(grid), 3)
+        out = windowed_variance(Tensor(grid), 3)
         vals = grid[0].ravel()
-        want = np.sqrt(((vals - vals.mean()) ** 2).mean())
+        want = ((vals - vals.mean()) ** 2).mean()
         assert out.data[0, 1, 1] == pytest.approx(want, rel=1e-12)
 
     def test_matches_deviation_loop(self):
@@ -74,35 +75,48 @@ class TestLocalStd:
                 for i in range(8):
                     for j in range(8):
                         win = xp[c, i:i + l, j:j + l]
-                        want[c, i, j] = np.sqrt(((win - win.mean()) ** 2).mean())
-            assert_allclose(local_std(Tensor(x), l).data, want, atol=1e-10)
+                        want[c, i, j] = ((win - win.mean()) ** 2).mean()
+            assert_allclose(windowed_variance(Tensor(x), l).data, want, atol=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        out = local_std(Tensor(rng.standard_normal((3, 7, 7))), 5)
+        out = windowed_variance(Tensor(rng.standard_normal((3, 7, 7))), 5)
         assert (out.data >= 0).all()
+
+    def test_even_window_rejected(self):
+        with pytest.raises(EvenWindowError):
+            windowed_variance(Tensor(np.zeros((1, 4, 4))), 2)
+
+
+def fusion_weight(score, sigma_sq, window=3):
+    """The weight fuse_scores gives a single score map, as fused / score."""
+    fused = fuse_scores(ScoreStack([Tensor(score)], (window,), sigma_sq)).data
+    return fused / score
 
 
 class TestConsistencyCoeff:
+    """The weight exp(-var / sigma_sq) as fuse_scores applies it."""
+
     def test_zero_std_gives_one(self):
-        out = consistency_coeff(Tensor(np.zeros((1, 4, 4))), 10.0)
-        assert np.array_equal(out.data, np.ones((1, 4, 4)))
+        score = np.full((2, 2, 4, 4), -1.5)
+        assert np.array_equal(fusion_weight(score, 10.0), np.ones_like(score))
 
     def test_paper_operating_point(self):
-        out = consistency_coeff(Tensor([[[np.sqrt(10.0)]]]), 10.0)
-        assert out.data[0, 0, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
-        assert out.data[0, 0, 0] == pytest.approx(0.367879, abs=1e-6)
+        # four corners at +a and five cells at 0: variance 20 a^2 / 81 = 10
+        a = np.sqrt(40.5)
+        grid = np.array([[[a, 0.0, a], [0.0, 0.0, 0.0], [a, 0.0, a]]]) + 1.0
+        alpha = fusion_weight(grid, 10.0)[0, 1, 1]
+        assert alpha == pytest.approx(np.exp(-1.0), abs=1e-9)
+        assert alpha == pytest.approx(0.367879, abs=1e-6)
 
     def test_monotone_decay_to_zero(self):
-        sig = np.linspace(0, 40, 50).reshape(1, 5, 10)
-        out = consistency_coeff(Tensor(sig), 10.0).data.ravel()
-        assert (np.diff(out) < 0).all()
-        assert out[-1] < 1e-30
-        assert (out > 0).all() and (out <= 1).all()
-
-    def test_rejects_nonpositive_sigma_sq(self):
-        with pytest.raises(NonpositiveSigmaError):
-            consistency_coeff(Tensor(np.zeros((1, 2, 2))), 0.0)
+        rng = np.random.default_rng(12)
+        score = rng.standard_normal((1, 5, 5)) + 4.0
+        alphas = np.array([fusion_weight(score * c, 10.0)[0, 2, 2]
+                           for c in np.linspace(1.0, 40.0, 50)])
+        assert (np.diff(alphas) < 0).all()
+        assert alphas[-1] < 1e-30
+        assert (alphas > 0).all() and (alphas <= 1).all()
 
 
 class TestFuseScores:
@@ -139,8 +153,7 @@ class TestFuseScores:
     def test_alpha_in_unit_interval(self):
         rng = np.random.default_rng(6)
         score = Tensor(rng.standard_normal((2, 10, 10)) * 4)
-        sig = local_std(score, 5)
-        alpha = consistency_coeff(sig, 10.0).data
+        alpha = np.exp(-windowed_variance(score, 5).data / 10.0)
         assert (alpha > 0).all() and (alpha <= 1).all()
 
     def test_gradient_through_weights(self):
@@ -196,6 +209,10 @@ class TestScoreStackValidation:
     def test_window_count_mismatch(self):
         with pytest.raises(ConfigError):
             ScoreStack([Tensor(np.zeros((2, 8, 8)))], (3, 3), 10.0)
+
+    def test_rejects_nonpositive_sigma_sq(self):
+        with pytest.raises(NonpositiveSigmaError):
+            ScoreStack([Tensor(np.zeros((1, 4, 4)))], (3,), 0.0)
 
 
 DESK = BackboneConfig(channels=(4, 6, 8, 8, 8), strides=(1, 2, 2, 1, 1),
