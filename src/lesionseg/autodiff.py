@@ -7,6 +7,9 @@ calling ``backward()`` on a scalar result walks the graph once in reverse
 topological order and accumulates exact gradients into every reachable
 tensor that has ``requires_grad`` set.
 
+Each operation gives its forward value and one gradient rule per input to
+``_node``; a result of inputs that need no gradient records no graph.
+
 All arithmetic is 64-bit. Graphs are throwaway: they exist only while the
 output tensor is alive and are rebuilt from scratch on every forward pass.
 """
@@ -14,6 +17,7 @@ output tensor is alive and are rebuilt from scratch on every forward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,13 +40,15 @@ class NonScalarRootError(ValueError):
     """backward() was called on a tensor that is not a scalar."""
 
 
+Vjp = Callable[[np.ndarray], np.ndarray]
+
+
 class Tensor:
     """Graph node: a value, an optional gradient, and links to its inputs."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
@@ -51,7 +57,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = _parents
+        self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = _op
 
@@ -69,15 +75,10 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g: np.ndarray) -> None:
         # copy on first write: g may alias another node's gradient buffer
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
             self.grad += g
 
@@ -137,18 +138,31 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         """Full reduction to a scalar; the usual way to form a backward root."""
-        src = self
-        out = Tensor(src.data.sum(), requires_grad=src.requires_grad,
-                     _parents=(src,), _op="sum")
-
-        def _bw(g):
-            if src.requires_grad:
-                src._accum(np.broadcast_to(g, src.data.shape).copy())
-        out._backward = _bw
-        return out
+        return _node("sum", self.data.sum(), (self,),
+                     lambda g: np.broadcast_to(g, self.data.shape).copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op})"
+
+
+def _node(op: str, value: np.ndarray, parents: tuple[Tensor, ...],
+          *vjps: Vjp) -> Tensor:
+    """One operation's result: value, where vjps[i](g) is parents[i]'s gradient.
+
+    A result whose parents need no gradient is a plain tensor. A vjp must not
+    reach the result itself, or the graph becomes a reference cycle.
+    """
+    live = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+    if not live:
+        return Tensor(value, _op=op)
+    out = Tensor(value, requires_grad=True, _op=op)
+    out._parents = parents
+
+    def _backward(g: np.ndarray) -> None:
+        for p, vjp in live:
+            p._accum(vjp(g))
+    out._backward = _backward
+    return out
 
 
 def _as_tensor(x) -> Tensor:
@@ -166,97 +180,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="add")
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
-    out._backward = _bw
-    return out
+    return _node("add", a.data + b.data, (a, b),
+                 lambda g: _unbroadcast(g, a.data.shape),
+                 lambda g: _unbroadcast(g, b.data.shape))
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="mul")
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-    out._backward = _bw
-    return out
+    return _node("mul", a.data * b.data, (a, b),
+                 lambda g: _unbroadcast(g * b.data, a.data.shape),
+                 lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def _div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, requires_grad=a.requires_grad or b.requires_grad,
-                 _parents=(a, b), _op="div")
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-    out._backward = _bw
-    return out
+    return _node("div", a.data / b.data, (a, b),
+                 lambda g: _unbroadcast(g / b.data, a.data.shape),
+                 lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
 
 def _neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, requires_grad=a.requires_grad, _parents=(a,), _op="neg")
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accum(-g)
-    out._backward = _bw
-    return out
+    return _node("neg", -a.data, (a,), lambda g: -g)
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad,
-                 _parents=(x,), _op="relu")
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accum(g * (x.data > 0))
-    out._backward = _bw
-    return out
+    return _node("relu", np.maximum(x.data, 0.0), (x,), lambda g: g * (x.data > 0))
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), requires_grad=x.requires_grad,
-                 _parents=(x,), _op="exp")
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accum(g * out.data)
-    out._backward = _bw
-    return out
+    y = np.exp(x.data)
+    return _node("exp", y, (x,), lambda g: g * y)
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), requires_grad=x.requires_grad,
-                 _parents=(x,), _op="log")
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accum(g / x.data)
-    out._backward = _bw
-    return out
+    return _node("log", np.log(x.data), (x,), lambda g: g / x.data)
 
 
 def clip_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor) elementwise; gradient is zero where the floor is active."""
-    out = Tensor(np.maximum(x.data, floor), requires_grad=x.requires_grad,
-                 _parents=(x,), _op="clip_min")
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accum(g * (x.data > floor))
-    out._backward = _bw
-    return out
+    return _node("clip_min", np.maximum(x.data, floor), (x,),
+                 lambda g: g * (x.data > floor))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +249,11 @@ class ConvParams:
                 f"stride={self.stride} dilation={self.dilation} padding={self.padding}")
 
 
-def _as_4d(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_4d(x: np.ndarray) -> np.ndarray:
     if x.ndim == 4:
-        return x, False
+        return x
     if x.ndim == 3:
-        return x[None], True
+        return x[None]
     raise ShapeMismatchError(f"expected 3-d or 4-d spatial tensor, got ndim={x.ndim}")
 
 
@@ -309,6 +270,11 @@ def _conv_windows(x4: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     win = sliding_window_view(x4, (eh, ew), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, ::dil, ::dil]
     return win[:, :, :out_hw[0], :out_hw[1]]
+
+
+def _correlate(windows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Contract (N,C,outH,outW,kh,kw) windows with an (O,C,kh,kw) kernel."""
+    return np.moveaxis(np.tensordot(windows, kernel, axes=([1, 4, 5], [1, 2, 3])), 3, 1)
 
 
 def _convt_tap_ranges(tap: int, in_n: int, out_n: int, stride: int, pad: int,
@@ -345,18 +311,38 @@ def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
     return out
 
 
+def _check_channels(x: Tensor, bias: Tensor, in_c: int, out_c: int,
+                    kernel_dim: str) -> None:
+    if x.shape[-3] != in_c:
+        raise ShapeMismatchError(
+            f"input channels {x.shape[-3]} != {kernel_dim} channels {in_c}")
+    if bias.shape[0] != out_c:
+        raise ShapeMismatchError(f"bias length {bias.shape[0]} != out channels {out_c}")
+
+
+def _conv_node(op: str, x: Tensor, params: ConvParams, out4: np.ndarray,
+               vjp_x4: Vjp, vjp_kernel: Vjp) -> Tensor:
+    """Bias add, 3-d round trip and node of conv2d and its adjoint; the two
+    rules take the 4-d output gradient."""
+    squeezed = x.ndim == 3
+    out4 = np.ascontiguousarray(out4)
+    out4 += params.bias.data[None, :, None, None]
+
+    def vjp_x(g):
+        gx = vjp_x4(_as_4d(g))
+        return gx[0] if squeezed else gx
+
+    return _node(op, out4[0] if squeezed else out4, (x, params.kernel, params.bias),
+                 vjp_x, lambda g: vjp_kernel(_as_4d(g)),
+                 lambda g: _as_4d(g).sum(axis=(0, 2, 3)))
+
+
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Dilated 2-d correlation over the channel axis, plus bias."""
-    kernel, bias = params.kernel, params.bias
+    kernel = params.kernel.data
     s, p, d = params.stride, params.padding, params.dilation
     oc, ic, kh, kw = kernel.shape
-    in_c = x.shape[-3]
-    if in_c != ic:
-        raise ShapeMismatchError(
-            f"input channels {in_c} != kernel input channels {ic}")
-    if bias.shape[0] != oc:
-        raise ShapeMismatchError(
-            f"bias length {bias.shape[0]} != out channels {oc}")
+    _check_channels(x, params.bias, ic, oc, "kernel input")
     h, w = x.shape[-2], x.shape[-1]
     oh = _conv_out_dim(h, kh, s, p, d)
     ow = _conv_out_dim(w, kw, s, p, d)
@@ -365,44 +351,20 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             f"conv output {oh}x{ow} from input {h}x{w} "
             f"(k={kh}x{kw}, stride={s}, pad={p}, dilation={d})")
 
-    x4, squeezed = _as_4d(x.data)
-    pointwise = kh == kw == 1 and s == 1 and p == 0
-    if pointwise:
-        k2 = kernel.data[:, :, 0, 0]
-        out_data = np.moveaxis(np.tensordot(x4, k2, axes=([1], [1])), 3, 1)
-        win = None
-    else:
-        win = _conv_windows(x4, kh, kw, s, p, d, (oh, ow))
-        out_data = np.moveaxis(
-            np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3])), 3, 1)
-    out_data = np.ascontiguousarray(out_data)
-    out_data += bias.data[None, :, None, None]
-    if squeezed:
-        out_data = out_data[0]
-
-    needs = x.requires_grad or kernel.requires_grad or bias.requires_grad
-    out = Tensor(out_data, requires_grad=needs, _parents=(x, kernel, bias),
-                 _op="conv2d")
-
-    def _bw(g):
-        g4, _ = _as_4d(g)
-        if bias.requires_grad:
-            bias._accum(g4.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            if pointwise:
-                gk = np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))
-                kernel._accum(gk[:, :, None, None])
-            else:
-                kernel._accum(np.tensordot(g4, win, axes=([0, 2, 3], [0, 2, 3])))
-        if x.requires_grad:
-            if pointwise:
-                gx = np.moveaxis(
-                    np.tensordot(g4, kernel.data[:, :, 0, 0], axes=([1], [0])), 3, 1)
-            else:
-                gx = _convt_scatter(g4, kernel.data, s, p, d, (h, w))
-            x._accum(gx[0] if squeezed else gx)
-    out._backward = _bw
-    return out
+    x4 = _as_4d(x.data)
+    if kh == kw == 1 and s == 1 and p == 0:
+        # pointwise: a channel contraction, differentiated 4x faster than windows
+        k2 = kernel[:, :, 0, 0]
+        return _conv_node(
+            "conv2d", x, params,
+            np.moveaxis(np.tensordot(x4, k2, axes=([1], [1])), 3, 1),
+            lambda g4: np.moveaxis(np.tensordot(g4, k2, axes=([1], [0])), 3, 1),
+            lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None])
+    win = _conv_windows(x4, kh, kw, s, p, d, (oh, ow))
+    return _conv_node(
+        "conv2d", x, params, _correlate(win, kernel),
+        lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
+        lambda g4: np.tensordot(g4, win, axes=([0, 2, 3], [0, 2, 3])))
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -412,16 +374,10 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
     dim 1 its output channels. Output spatial size per axis is
     (in - 1) * stride + dilation * (k - 1) + 1 - 2 * padding.
     """
-    kernel, bias = params.kernel, params.bias
+    kernel = params.kernel.data
     s, p, d = params.stride, params.padding, params.dilation
     a, b, kh, kw = kernel.shape
-    in_c = x.shape[-3]
-    if in_c != a:
-        raise ShapeMismatchError(
-            f"input channels {in_c} != kernel dim-0 channels {a}")
-    if bias.shape[0] != b:
-        raise ShapeMismatchError(
-            f"bias length {bias.shape[0]} != out channels {b}")
+    _check_channels(x, params.bias, a, b, "kernel dim-0")
     ih, iw = x.shape[-2], x.shape[-1]
     oh = (ih - 1) * s + d * (kh - 1) + 1 - 2 * p
     ow = (iw - 1) * s + d * (kw - 1) + 1 - 2 * p
@@ -429,32 +385,24 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
         raise DegenerateOutputError(
             f"conv_transpose output {oh}x{ow} from input {ih}x{iw}")
 
-    x4, squeezed = _as_4d(x.data)
-    out_data = _convt_scatter(x4, kernel.data, s, p, d, (oh, ow))
-    out_data += bias.data[None, :, None, None]
-    if squeezed:
-        out_data = out_data[0]
+    x4 = _as_4d(x.data)
+    # Both gradients read the output gradient's windows. _node runs the input
+    # rule first, so when the kernel rule runs too it takes the same windows.
+    handoff: list[np.ndarray] = []
+    kernel_rule_runs = params.kernel.requires_grad
 
-    needs = x.requires_grad or kernel.requires_grad or bias.requires_grad
-    out = Tensor(out_data, requires_grad=needs, _parents=(x, kernel, bias),
-                 _op="conv_transpose2d")
+    def vjp_x4(g4):
+        gwin = _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
+        if kernel_rule_runs:
+            handoff.append(gwin)
+        return _correlate(gwin, kernel)
 
-    def _bw(g):
-        g4, _ = _as_4d(g)
-        if bias.requires_grad:
-            bias._accum(g4.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            # same windowed-correlation structure as the conv2d kernel grad,
-            # with the roles of input and output gradient swapped
-            gwin = _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
-            kernel._accum(np.tensordot(x4, gwin, axes=([0, 2, 3], [0, 2, 3])))
-        if x.requires_grad:
-            win = _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
-            gx = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-            gx = np.moveaxis(gx, 3, 1)
-            x._accum(gx[0] if squeezed else gx)
-    out._backward = _bw
-    return out
+    def vjp_kernel(g4):
+        gwin = handoff.pop() if handoff else _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
+        return np.tensordot(x4, gwin, axes=([0, 2, 3], [0, 2, 3]))
+
+    return _conv_node("conv_transpose2d", x, params,
+                      _convt_scatter(x4, kernel, s, p, d, (oh, ow)), vjp_x4, vjp_kernel)
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -470,22 +418,10 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeMismatchError(
                 f"part {i} shape {p.shape} incompatible with part 0 "
                 f"shape {first.shape} outside the channel axis")
-    out_data = np.concatenate([p.data for p in parts], axis=-3)
-    needs = any(p.requires_grad for p in parts)
-    out = Tensor(out_data, requires_grad=needs, _parents=tuple(parts),
-                 _op="concat")
-    sizes = [p.shape[-3] for p in parts]
-
-    def _bw(g):
-        start = 0
-        for p, c in zip(parts, sizes):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[-3] = slice(start, start + c)
-                p._accum(g[tuple(sl)])
-            start += c
-    out._backward = _bw
-    return out
+    ends = list(accumulate(p.shape[-3] for p in parts))
+    return _node("concat", np.concatenate([p.data for p in parts], axis=-3), tuple(parts),
+                 *(lambda g, lo=lo, hi=hi: g[..., lo:hi, :, :]
+                   for lo, hi in zip([0] + ends[:-1], ends)))
 
 
 def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -498,30 +434,23 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
     if oh < 1 or ow < 1:
         raise DegenerateOutputError(
             f"max_pool output {oh}x{ow} from input {h}x{w}")
-    x4, squeezed = _as_4d(x.data)
+    x4 = _as_4d(x.data)
     n, c = x4.shape[:2]
     win = sliding_window_view(x4, (window, window), axis=(2, 3))
     win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, window * window)
     arg = win.argmax(axis=-1)
     out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    if squeezed:
-        out_data = out_data[0]
 
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,),
-                 _op="max_pool2d")
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
-        g4, _ = _as_4d(g)
+    def vjp(g):
+        g4 = _as_4d(g)
         ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=False)
         iy = oy * stride + arg // window
         ix = ox * stride + arg % window
         gx = np.zeros_like(x4)
         np.add.at(gx, (ni, ci, iy, ix), g4)
-        x._accum(gx[0] if squeezed else gx)
-    out._backward = _bw
-    return out
+        return gx[0] if x.ndim == 3 else gx
+
+    return _node("max_pool2d", out_data[0] if x.ndim == 3 else out_data, (x,), vjp)
 
 
 def softmax_channels(x: Tensor) -> Tensor:
@@ -532,13 +461,8 @@ def softmax_channels(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-3, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-3, keepdims=True)
-    out = Tensor(y, requires_grad=x.requires_grad, _parents=(x,), _op="softmax")
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accum(y * (g - (g * y).sum(axis=-3, keepdims=True)))
-    out._backward = _bw
-    return out
+    return _node("softmax", y, (x,),
+                 lambda g: y * (g - (g * y).sum(axis=-3, keepdims=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,14 +520,8 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
     raw = msq - m * m
     floor = _VAR_FLOOR_EPS * (h + window) * (w + window)
     gate = raw > floor * (msq + m * m)
-    out_data = np.where(gate, raw, 0.0)
 
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,),
-                 _op="windowed_variance")
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
+    def vjp(g):
         gg = g * gate
         zpad = [(0, 0)] * (g.ndim - 2) + [(window - 1, window - 1)] * 2
         stacked_g = np.concatenate([gg[None], (gg * m)[None]])
@@ -611,9 +529,9 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
                                   [(0, 0)] + zpad), window)
         a_g = _edge_fold(folded[0], r, h, w)
         a_gm = _edge_fold(folded[1], r, h, w)
-        x._accum(2.0 * (x.data * a_g - a_gm))
-    out._backward = _bw
-    return out
+        return 2.0 * (x.data * a_g - a_gm)
+
+    return _node("windowed_variance", np.where(gate, raw, 0.0), (x,), vjp)
 
 
 def gradients(root: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -8,6 +8,7 @@ feeds the dilated bank. He-style seeded init replaces pretraining.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -164,26 +165,51 @@ def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> No
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
+    """Parameters and echo of a checkpoint. Every read is length-checked, so
+    a damaged file raises CheckpointError naming it."""
     with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (echo_len,) = struct.unpack("<I", fh.read(4))
-        echo: dict[str, str] = {}
-        for line in fh.read(echo_len).decode().splitlines():
-            key, _, value = line.partition("=")
-            echo[key] = value
-        (count,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, Tensor] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            params[name] = Tensor(data, requires_grad=True)
+        blob = fh.read()
+    pos = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise CheckpointError(
+                f"{path}: truncated at byte {len(blob)} while reading {what}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def text(n: int, what: str) -> str:
+        try:
+            return take(n, what).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not utf-8") from None
+
+    if take(len(CHECKPOINT_MAGIC), "the header") != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    (version,) = unpack("<I", "the header")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    (echo_len,) = unpack("<I", "the header")
+    echo: dict[str, str] = {}
+    for line in text(echo_len, "the config echo").splitlines():
+        key, _, value = line.partition("=")
+        echo[key] = value
+    (count,) = unpack("<I", "the record count")
+    params: dict[str, Tensor] = {}
+    for i in range(count):
+        (name_len,) = unpack("<H", f"record {i}")
+        name = text(name_len, f"record {i}")
+        (rank,) = unpack("<B", f"record {name}")
+        shape = unpack(f"<{rank}I", f"record {name}")
+        if name in params or 0 in shape:
+            raise CheckpointError(f"{path}: record {name} is repeated or empty")
+        raw = take(8 * math.prod(shape), f"record {name}")
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        params[name] = Tensor(data, requires_grad=True)
+    if pos != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last record")
     return params, echo

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .backbone import ConfigError, load_checkpoint, save_checkpoint
+from .backbone import CheckpointError, ConfigError, load_checkpoint, save_checkpoint
 from .data import (
     DatasetError,
     gen_synthetic,
@@ -24,7 +24,15 @@ from .data import (
     write_sample,
 )
 from .metrics import summary_table, write_ja_histogram, write_metrics_csv
-from .model import MODEL_KEYS, RUN_KEYS, config_echo, config_from_echo, predict_mask
+from .model import (
+    MODEL_KEYS,
+    RUN_KEYS,
+    ModelConfig,
+    build_params,
+    config_echo,
+    config_from_echo,
+    predict_mask,
+)
 from .schema import Schema, build, field_default, field_type, format_value, parse_value
 from .training import TrainConfig, evaluate, train, write_loss_log
 
@@ -135,8 +143,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_split(data_dir: str, size: int) -> tuple[list, list]:
-    samples = load_dataset(data_dir, size=size)
+def _load_split(data_dir: str, cfg: dict[str, str]) -> tuple[list, list]:
+    """The manifest's train/val split, or a train.split/seed split without one."""
+    samples = load_dataset(data_dir, size=config_value(cfg, "image_size"))
     if not samples:
         raise DatasetError(f"no samples under {data_dir}")
     manifest = read_manifest(data_dir)
@@ -144,14 +153,15 @@ def _load_split(data_dir: str, size: int) -> tuple[list, list]:
         train_set = [s for s in samples if manifest.get(s.id) != "val"]
         val_set = [s for s in samples if manifest.get(s.id) == "val"]
     else:
-        train_set, val_set = split_dataset(samples, 0.8, seed=0)
+        train_set, val_set = split_dataset(samples, config_value(cfg, "train.split"),
+                                           config_value(cfg, "seed"))
     return train_set, val_set
 
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, args.set)
     tc = train_config(cfg, args.ablation)
-    train_set, _ = _load_split(args.data, config_value(cfg, "image_size"))
+    train_set, _ = _load_split(args.data, cfg)
     state, records = train(train_set, tc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,17 +174,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path: str) -> tuple[dict, ModelConfig, bool, bool, float]:
+    """Checkpoint parameters and the model they belong to: every parameter
+    the echoed architecture builds, with its shape, and no other."""
+    params, echo = load_checkpoint(path)
+    mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
+    expected = {name: p.shape for name, p in build_params(mc, 0, use_bidfl).items()}
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise CheckpointError(f"{path}: parameter {name} is missing")
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected parameter {name}")
+        if params[name].shape != expected[name]:
+            raise CheckpointError(f"{path}: parameter {name} has shape "
+                                  f"{params[name].shape}, expected {expected[name]}")
+    return params, mc, use_bidfl, use_mcdf, sigma_sq
+
+
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config, args.set)
-    params, echo = load_checkpoint(args.checkpoint)
-    mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
+    params, mc, use_bidfl, use_mcdf, sigma_sq = _load_model(args.checkpoint)
     if args.ablation is not None:
         want = ABLATIONS[args.ablation]
         if want != (use_bidfl, use_mcdf):
             raise ConfigError(
                 f"checkpoint was trained with ablation "
                 f"bidfl={use_bidfl}/mcdf={use_mcdf}, not {args.ablation!r}")
-    train_set, val_set = _load_split(args.data, config_value(cfg, "image_size"))
+    train_set, val_set = _load_split(args.data, cfg)
     chosen = {"val": val_set, "train": train_set,
               "all": train_set + val_set}[args.split]
     if not chosen:
@@ -193,8 +219,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = parse_config(args.config, args.set)
-    params, echo = load_checkpoint(args.checkpoint)
-    mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
+    params, mc, use_bidfl, use_mcdf, sigma_sq = _load_model(args.checkpoint)
     samples = load_dataset(args.input, size=config_value(cfg, "image_size"))
     if not samples:
         raise DatasetError(f"no samples under {args.input}")

@@ -133,8 +133,12 @@ def model_forward(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
 
 def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
                  use_bidfl: bool, use_mcdf: bool, sigma_sq: float) -> np.ndarray:
-    """Binary lesion mask: lesion-channel probability thresholded at 0.5."""
-    _, probs, _ = model_forward(image, params, config, use_bidfl, use_mcdf, sigma_sq)
+    """Binary lesion mask: lesion-channel probability thresholded at 0.5.
+
+    Runs on detached parameters, so the forward pass records no graph.
+    """
+    frozen = {name: p.detach() for name, p in params.items()}
+    _, probs, _ = model_forward(image, frozen, config, use_bidfl, use_mcdf, sigma_sq)
     lesion = probs.data[..., 0, :, :]
     return (lesion > 0.5).astype(float)
 

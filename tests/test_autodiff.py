@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import (
@@ -9,12 +11,15 @@ from lesionseg.autodiff import (
     ShapeMismatchError,
     Tensor,
     concat_channels,
+    _node,
     conv2d,
     conv_transpose2d,
+    exp,
     grad_check,
     max_pool2d,
     relu,
     softmax_channels,
+    windowed_variance,
 )
 
 
@@ -111,6 +116,39 @@ class TestTensor:
             (conv2d(relu(x), p) * conv2d(x, p)).sum().backward()
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
+
+
+class TestNode:
+    def test_inputs_without_grad_record_no_graph(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((2, 5, 5)))
+        p = make_params(rng.standard_normal((3, 2, 3, 3)), padding=1)
+        outs = [x * x + 1.0, -x / 2.0, relu(x), exp(x), x.sum(), conv2d(x, p),
+                conv_transpose2d(x, make_params(rng.standard_normal((2, 1, 2, 2)),
+                                                [0.0], stride=2)),
+                concat_channels([x, x]), max_pool2d(x, 2, 1), softmax_channels(x),
+                windowed_variance(x, 3)]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None, out._op
+
+    def test_vjp_runs_only_for_parents_with_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        c = Tensor([5.0, 6.0])
+        calls = []
+
+        def rule(name):
+            def vjp(g):
+                calls.append(name)
+                return 3.0 * g
+            return vjp
+
+        out = _node("add", x.data + c.data, (x, c), rule("x"), rule("c"))
+        assert out._parents == (x, c) and out._op == "add"
+        out.sum().backward()
+        assert calls == ["x"]
+        assert_allclose(x.grad, [3.0, 3.0])
+        assert c.grad is None
 
 
 class TestConv2d:
@@ -214,6 +252,29 @@ class TestConvTranspose2d:
                                                          padding=p, dilation=d)).data
             assert xt.shape == x.shape
             assert abs(lhs - (x * xt).sum()) < 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3),
+           st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           st.sampled_from([(), (1,), (2,)]), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_adjoint_identity_random_geometry(self, s, d, k, out_hw, lead, ic, oc,
+                                              pad, seed):
+        """<conv2d(x), y> == <x, conv_transpose2d(y)> with zero biases."""
+        spans = [(o - 1) * s + d * (kk - 1) for o, kk in zip(out_hw, k)]
+        p = min(pad, *(span // 2 for span in spans))   # keeps the input >= 1 pixel
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (ic, *(span + 1 - 2 * p for span in spans)))
+        y = rng.standard_normal(lead + (oc, *out_hw))
+        kernel = rng.standard_normal((oc, ic, *k))
+        geometry = dict(stride=s, padding=p, dilation=d)
+        forward = conv2d(Tensor(x), make_params(kernel, **geometry)).data
+        adjoint = conv_transpose2d(Tensor(y), make_params(kernel, np.zeros(ic),
+                                                          **geometry)).data
+        assert forward.shape == y.shape and adjoint.shape == x.shape
+        assert np.vdot(forward, y) == pytest.approx(np.vdot(x, adjoint),
+                                                    rel=1e-10, abs=1e-10)
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -141,3 +143,20 @@ def test_checkpoint_failed_save_keeps_old_file(tmp_path):
         save_checkpoint(path, broken, {"seed": "14"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_truncated_anywhere_fails_closed(tmp_path):
+    params = {"a.kernel": Tensor(np.arange(6.0).reshape(1, 2, 3)),
+              "b.bias": Tensor(np.ones(2)), "c.scale": Tensor(4.0)}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, {"seed": "1"})
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for offset in range(len(blob)):
+        cut.write_bytes(blob[:offset])
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(cut))}: truncated at byte {offset} "):
+            load_checkpoint(cut)
+    cut.write_bytes(blob + b"\0")
+    with pytest.raises(CheckpointError, match="1 bytes after the last record"):
+        load_checkpoint(cut)

@@ -1,11 +1,14 @@
 import filecmp
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lesionseg.autodiff import Tensor
 from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
+from lesionseg.data import load_dataset, split_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # every key a checkpoint echo holds, spelled as checkpoints spell them
@@ -186,6 +189,65 @@ class TestWorkflow:
                        "--data", str(data), "--out", str(tmp_path / "e"), *sets())
         assert code == 2
         assert "train.seed: expected int, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("offset", [10, 5000, -1])
+    def test_truncated_checkpoint_fails_closed(self, workspace, tmp_path, capsys,
+                                               command, offset):
+        _, data, run = workspace
+        blob = (run / "checkpoint.ckpt").read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(blob[:offset])
+        capsys.readouterr()
+        source = "--data" if command == "eval" else "--input"
+        code = run_cli(command, "--checkpoint", str(cut), source, str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: truncated at byte ")
+        assert err.count("\n") == 1
+
+    def test_eval_rejects_dropped_record(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        del params["backbone.b1.bias"]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, echo)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(bad), "--data", str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: parameter backbone.b1.bias is missing\n")
+
+    def test_predict_rejects_wrong_shape(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        params["head.0.cls.kernel"] = Tensor(np.zeros((2, 3, 1, 1)))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, echo)
+        capsys.readouterr()
+        code = run_cli("predict", "--checkpoint", str(bad), "--input", str(data),
+                       "--out", str(tmp_path / "p"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: parameter head.0.cls.kernel has shape (2, 3, 1, 1), "
+            f"expected (2, 4, 1, 1)\n")
+
+    def test_eval_split_without_manifest_follows_config(self, workspace, tmp_path):
+        _, data, run = workspace
+        bare = tmp_path / "bare"
+        shutil.copytree(data, bare)
+        (bare / "manifest.csv").unlink()
+        out = tmp_path / "e"
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.ckpt"),
+                       "--data", str(bare), "--out", str(out),
+                       *sets(["train.split=0.5", "seed=3"])) == 0
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        ids = [row.split(",")[0] for row in rows]
+        assert len(ids) == 3
+        samples = load_dataset(bare, size=32)
+        assert ids == [s.id for s in split_dataset(samples, 0.5, 3)[1]]
 
     def test_eval_ablation_mismatch_rejected(self, workspace, tmp_path):
         root, data, run = workspace

@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
-from lesionseg.autodiff import Tensor
+from lesionseg import model
+from lesionseg.autodiff import Tensor, gradients
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.model import (
     DESK_RATES,
@@ -14,6 +17,7 @@ from lesionseg.model import (
     model_forward,
     predict_mask,
 )
+from lesionseg.training import one_hot_masks, weighted_ce_loss
 
 TINY = ModelConfig(
     backbone=BackboneConfig(channels=(4, 6, 6, 6, 6), strides=(1, 2, 2, 1, 1),
@@ -72,6 +76,41 @@ def test_predict_mask_binary():
     mask = predict_mask(Tensor(rng.random((3, 32, 32))), params, TINY, True, True, 10.0)
     assert mask.shape == (32, 32)
     assert np.isin(mask, (0.0, 1.0)).all()
+
+
+def test_predict_mask_records_no_graph(monkeypatch):
+    recorded = []
+
+    def forward(*args, **kwargs):
+        out = model_forward(*args, **kwargs)
+        recorded.append(out[1])
+        return out
+
+    monkeypatch.setattr(model, "model_forward", forward)
+    rng = np.random.default_rng(2)
+    params = build_params(TINY, seed=3, use_bidfl=True)
+    predict_mask(Tensor(rng.random((3, 32, 32))), params, TINY, True, True, 10.0)
+    (probs,) = recorded
+    assert probs._parents == () and probs._backward is None
+
+
+def test_training_step_leaves_no_reference_cycles():
+    rng = np.random.default_rng(4)
+    params = build_params(TINY, seed=5, use_bidfl=True)
+
+    def step():
+        image = Tensor(rng.random((2, 3, 32, 32)))
+        labels = one_hot_masks((rng.random((2, 1, 32, 32)) > 0.5).astype(float))
+        _, probs, _ = model_forward(image, params, TINY, True, True, 10.0)
+        gradients(weighted_ce_loss(probs, labels, (0.8, 0.2)), params)
+
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_echo_roundtrip():
