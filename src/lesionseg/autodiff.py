@@ -272,9 +272,22 @@ def _conv_windows(x4: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     return win[:, :, :out_hw[0], :out_hw[1]]
 
 
-def _correlate(windows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Contract (N,C,outH,outW,kh,kw) windows with an (O,C,kh,kw) kernel."""
-    return np.moveaxis(np.tensordot(windows, kernel, axes=([1, 4, 5], [1, 2, 3])), 3, 1)
+def _im2col(windows: np.ndarray) -> np.ndarray:
+    """(N,C,outH,outW,kh,kw) windows as contiguous (N*outH*outW, C*kh*kw) columns."""
+    n, c, oh, ow, kh, kw = windows.shape
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+
+
+def _correlate(cols: np.ndarray, kernel: np.ndarray, n: int,
+               out_hw: tuple[int, int]) -> np.ndarray:
+    """Contract columns with an (O,C,kh,kw) kernel into an (N,O,outH,outW) view."""
+    out = cols @ kernel.reshape(kernel.shape[0], -1).T
+    return np.moveaxis(out.reshape(n, *out_hw, -1), 3, 1)
+
+
+def _kernel_grad(a4: np.ndarray, cols: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Contract an (N,A,outH,outW) map with the columns over N and space."""
+    return (np.moveaxis(a4, 1, 0).reshape(a4.shape[1], -1) @ cols).reshape(shape)
 
 
 def _convt_tap_ranges(tap: int, in_n: int, out_n: int, stride: int, pad: int,
@@ -360,11 +373,15 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             np.moveaxis(np.tensordot(x4, k2, axes=([1], [1])), 3, 1),
             lambda g4: np.moveaxis(np.tensordot(g4, k2, axes=([1], [0])), 3, 1),
             lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None])
-    win = _conv_windows(x4, kh, kw, s, p, d, (oh, ow))
+    # the kernel rule reuses the forward columns
+    cols = _im2col(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
+    out4 = _correlate(cols, kernel, x4.shape[0], (oh, ow))
+    if not params.kernel.requires_grad:
+        cols = None  # no kernel rule: free them before the output is copied
     return _conv_node(
-        "conv2d", x, params, _correlate(win, kernel),
+        "conv2d", x, params, out4,
         lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
-        lambda g4: np.tensordot(g4, win, axes=([0, 2, 3], [0, 2, 3])))
+        lambda g4: _kernel_grad(g4, cols, kernel.shape))
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -386,20 +403,22 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
             f"conv_transpose output {oh}x{ow} from input {ih}x{iw}")
 
     x4 = _as_4d(x.data)
-    # Both gradients read the output gradient's windows. _node runs the input
-    # rule first, so when the kernel rule runs too it takes the same windows.
+    # Both gradients read the output gradient's columns. _node runs the input
+    # rule first, so when the kernel rule runs too it takes the same columns.
     handoff: list[np.ndarray] = []
     kernel_rule_runs = params.kernel.requires_grad
 
+    def gcols(g4):
+        return _im2col(_conv_windows(g4, kh, kw, s, p, d, (ih, iw)))
+
     def vjp_x4(g4):
-        gwin = _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
+        cols = gcols(g4)
         if kernel_rule_runs:
-            handoff.append(gwin)
-        return _correlate(gwin, kernel)
+            handoff.append(cols)
+        return _correlate(cols, kernel, g4.shape[0], (ih, iw))
 
     def vjp_kernel(g4):
-        gwin = handoff.pop() if handoff else _conv_windows(g4, kh, kw, s, p, d, (ih, iw))
-        return np.tensordot(x4, gwin, axes=([0, 2, 3], [0, 2, 3]))
+        return _kernel_grad(x4, handoff.pop() if handoff else gcols(g4), kernel.shape)
 
     return _conv_node("conv_transpose2d", x, params,
                       _convt_scatter(x4, kernel, s, p, d, (oh, ow)), vjp_x4, vjp_kernel)
@@ -442,12 +461,15 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
     out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def vjp(g):
-        g4 = _as_4d(g)
-        ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=False)
-        iy = oy * stride + arg // window
-        ix = ox * stride + arg % window
+        ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=True)
+        cells = (ni, ci, oy * stride + arg // window, ox * stride + arg % window)
         gx = np.zeros_like(x4)
-        np.add.at(gx, (ni, ci, iy, ix), g4)
+        if window <= stride:
+            # disjoint windows: each cell takes at most one gradient; + 0.0
+            # turns -0.0 into 0.0, as adding into zeros does
+            gx[cells] = _as_4d(g) + 0.0
+        else:
+            np.add.at(gx, cells, _as_4d(g))
         return gx[0] if x.ndim == 3 else gx
 
     return _node("max_pool2d", out_data[0] if x.ndim == 3 else out_data, (x,), vjp)
@@ -469,18 +491,18 @@ def softmax_channels(x: Tensor) -> Tensor:
 # windowed variance (edge-replicated box filter), used by the decision fusion
 # ---------------------------------------------------------------------------
 
-def _box_sums(arr: np.ndarray, l: int) -> np.ndarray:
-    """All l x l window sums of the trailing two axes via an integral image."""
-    ii = arr.cumsum(axis=-2).cumsum(axis=-1)
-    pad = [(0, 0)] * (arr.ndim - 2) + [(1, 0), (1, 0)]
-    ii = np.pad(ii, pad)
-    return (ii[..., l:, l:] - ii[..., :-l, l:]
-            - ii[..., l:, :-l] + ii[..., :-l, :-l])
+def _box_sums(buf: np.ndarray, l: int) -> np.ndarray:
+    """All l x l window sums of buf's trailing two axes past the zero first row
+    and column; buf becomes their integral image in place."""
+    np.cumsum(buf, axis=-2, out=buf)
+    np.cumsum(buf, axis=-1, out=buf)
+    return (buf[..., l:, l:] - buf[..., :-l, l:]
+            - buf[..., l:, :-l] + buf[..., :-l, :-l])
 
 
 def _edge_fold(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of edge-replication padding: fold border mass onto the edges."""
-    gp = gp.copy()
+    """Adjoint of edge-replication padding: fold border mass onto the edges,
+    overwriting gp."""
     if r:
         gp[..., r, :] += gp[..., :r, :].sum(axis=-2)
         gp[..., h + r - 1, :] += gp[..., h + r:, :].sum(axis=-2)
@@ -511,10 +533,15 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
     if window == 1:
         return Tensor(np.zeros_like(x.data))
     r = (window - 1) // 2
-    h, w = x.shape[-2], x.shape[-1]
-    pad = [(0, 0)] * (x.ndim - 2) + [(r, r), (r, r)]
-    stacked = np.concatenate([x.data[None], (x.data * x.data)[None]])
-    sums = _box_sums(np.pad(stacked, [(0, 0)] + pad, mode="edge"), window)
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
+    # [x, x^2], edge-padded by r, past the integral image's zero row and column
+    buf = np.empty((2, *lead, h + window, w + window))
+    buf[..., 0, :] = 0.0
+    buf[..., :, 0] = 0.0
+    xp, xsq = buf[..., 1:, 1:]
+    xp[...] = np.pad(x.data, [(0, 0)] * len(lead) + [(r, r), (r, r)], mode="edge")
+    np.multiply(xp, xp, out=xsq)
+    sums = _box_sums(buf, window)
     m = sums[0] / (window * window)
     msq = sums[1] / (window * window)
     raw = msq - m * m
@@ -523,10 +550,13 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
 
     def vjp(g):
         gg = g * gate
-        zpad = [(0, 0)] * (g.ndim - 2) + [(window - 1, window - 1)] * 2
-        stacked_g = np.concatenate([gg[None], (gg * m)[None]])
-        folded = _box_sums(np.pad(stacked_g / (window * window),
-                                  [(0, 0)] + zpad), window)
+        # [g, g*m] / l^2, zero-padded by l - 1, past the zero row and column
+        buf = np.zeros((2, *lead, h + 2 * window - 1, w + 2 * window - 1))
+        g_in, gm_in = buf[..., window:window + h, window:window + w]
+        np.divide(gg, window * window, out=g_in)
+        np.multiply(gg, m, out=gm_in)
+        gm_in /= window * window
+        folded = _box_sums(buf, window)
         a_g = _edge_fold(folded[0], r, h, w)
         a_gm = _edge_fold(folded[1], r, h, w)
         return 2.0 * (x.data * a_g - a_gm)

@@ -306,8 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ConfigError, DatasetError, FileNotFoundError, ValueError,
-            RuntimeError) as err:
+    except (ConfigError, DatasetError, OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

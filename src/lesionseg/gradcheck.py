@@ -62,6 +62,15 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
             lambda k: (conv2d(x, ConvParams(k, bias, padding=2, dilation=2)) * w).sum(),
             k0)
 
+    def conv_batched_kernel():
+        x = Tensor(rng.standard_normal((2, 2, 7, 7)))
+        w = Tensor(rng.standard_normal((2, 3, 7, 7)))
+        bias = Tensor(rng.standard_normal(3))
+        k0 = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        return grad_check(
+            lambda k: (conv2d(x, ConvParams(k, bias, padding=2, dilation=2)) * w).sum(),
+            k0)
+
     def conv_pointwise():
         x = Tensor(rng.standard_normal((3, 5, 5)))
         w = Tensor(rng.standard_normal((2, 5, 5)))
@@ -100,6 +109,11 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         w = Tensor(rng.standard_normal((2, 3, 3)))
         return grad_check(lambda t: (max_pool2d(t, 2, 2) * w).sum(),
                           Tensor(rng.standard_normal((2, 6, 6))))
+
+    def max_pool_overlapping():
+        w = Tensor(rng.standard_normal((2, 3, 3)))
+        return grad_check(lambda t: (max_pool2d(t, 3, 2) * w).sum(),
+                          Tensor(rng.standard_normal((2, 7, 7))))
 
     def softmax():
         w = Tensor(rng.standard_normal((3, 4, 4)))
@@ -172,6 +186,10 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         ("mcdf_fusion", mcdf_fusion),
         ("full_pipeline_input", full_pipeline),
         ("full_pipeline_bank_kernel", full_pipeline_params),
+        # the cases draw from one rng in this order: new cases go last, so
+        # that the others keep their inputs
+        ("max_pool2d_overlapping", max_pool_overlapping),
+        ("conv2d_batched_kernel", conv_batched_kernel),
     ]
 
 

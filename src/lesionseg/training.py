@@ -190,6 +190,22 @@ def one_hot_masks(masks: np.ndarray) -> np.ndarray:
     return np.stack([lesion, 1.0 - lesion], axis=1)
 
 
+def _loss_and_gradients(batch: Tensor, labels: np.ndarray, params: dict[str, Tensor],
+                        config: TrainConfig) -> tuple[float, dict[str, np.ndarray] | None]:
+    """One batch's loss and parameter gradients (None for a non-finite loss).
+
+    The step's graph dies on return, so the next forward pass never runs
+    while the previous graph is still alive.
+    """
+    _, probs, _ = model_forward(batch, params, config.model, config.use_bidfl,
+                                config.use_mcdf, config.sigma_sq, config.stop_grad_alpha)
+    loss = weighted_ce_loss(probs, labels, config.class_weights)
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        return loss_value, None
+    return loss_value, gradients(loss, params)
+
+
 def train(dataset: list[Sample], config: TrainConfig) -> tuple[TrainState, list[LossRecord]]:
     """Full optimization loop; bit-deterministic for a fixed seed."""
     if not dataset:
@@ -224,16 +240,11 @@ def train(dataset: list[Sample], config: TrainConfig) -> tuple[TrainState, list[
         batch = Tensor(np.stack(images))
         labels = one_hot_masks(np.stack(masks))
 
-        _, probs, _ = model_forward(batch, state.parameters, config.model,
-                                    config.use_bidfl, config.use_mcdf,
-                                    config.sigma_sq, config.stop_grad_alpha)
-        loss = weighted_ce_loss(probs, labels, config.class_weights)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
+        loss_value, grads = _loss_and_gradients(batch, labels, state.parameters, config)
+        if grads is None:
             raise TrainingDivergedError(
                 f"non-finite loss {loss_value} at iteration {it} (lr={lr:.3e}, "
                 f"last finite loss={records[-1].loss if records else float('nan'):.6f})")
-        grads = gradients(loss, state.parameters)
         state = sgd_step(state, grads, lr, momentum=config.momentum)
         state.running_loss = (loss_value if it == 0
                               else 0.98 * state.running_loss + 0.02 * loss_value)

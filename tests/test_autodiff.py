@@ -369,6 +369,36 @@ class TestPointwiseOps:
         assert (moderate > 0).all() and (moderate < 1).all()
 
 
+def max_pool_grad_loop(x, window, stride, g):
+    """Each output cell sends its gradient to the first maximum of its window,
+    scanning the window row by row."""
+    h, w = x.shape[-2:]
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    cells = [(a, b) for a in range(window) for b in range(window)]
+    out = np.zeros_like(x)
+    for *lead, i, j in np.ndindex(*x.shape[:-2], oh, ow):
+        y0, x0 = i * stride, j * stride
+        a, b = max(cells, key=lambda ab: x[(*lead, y0 + ab[0], x0 + ab[1])])
+        out[(*lead, y0 + a, x0 + b)] += g[(*lead, i, j)]
+    return out
+
+
+class TestMaxPool2d:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([(1,), (2,), (2, 3)]),
+           st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(0, 2**32 - 1))
+    def test_gradient_matches_window_loop(self, window, stride, lead, extra, seed):
+        """Disjoint (window <= stride) and overlapping windows; three levels
+        make ties common, and a tie goes to the window's first maximum."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.integers(0, 3, lead + (window + extra[0], window + extra[1]))
+                   .astype(float), requires_grad=True)
+        out = max_pool2d(x, window, stride)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        assert np.array_equal(x.grad, max_pool_grad_loop(x.data, window, stride, g))
+
+
 class TestGradChecks:
     """Every differentiable primitive against central differences."""
 

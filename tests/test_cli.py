@@ -234,6 +234,28 @@ class TestWorkflow:
             f"error: {bad}: parameter head.0.cls.kernel has shape (2, 3, 1, 1), "
             f"expected (2, 4, 1, 1)\n")
 
+    def test_eval_checkpoint_directory_fails_closed(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path), "--data", str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    def test_predict_out_existing_file_fails_closed(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        code = run_cli("predict", "--checkpoint", str(run / "checkpoint.ckpt"),
+                       "--input", str(data), "--out", str(taken), *sets())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert err.count("\n") == 1
+
     def test_eval_split_without_manifest_follows_config(self, workspace, tmp_path):
         _, data, run = workspace
         bare = tmp_path / "bare"

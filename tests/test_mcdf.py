@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import EvenWindowError, Tensor, grad_check, windowed_variance
@@ -86,6 +88,95 @@ class TestLocalStd:
     def test_even_window_rejected(self):
         with pytest.raises(EvenWindowError):
             windowed_variance(Tensor(np.zeros((1, 4, 4))), 2)
+
+
+def edge_windows(x, l):
+    """Every edge-replicated l x l window of x, one per output pixel."""
+    r = (l - 1) // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(r, r), (r, r)], mode="edge")
+    h, w = x.shape[-2:]
+    return [((i, j), xp[..., i:i + l, j:j + l]) for i in range(h) for j in range(w)]
+
+
+def variance_loop(x, l):
+    """Two-pass population variance of every window, pixel by pixel."""
+    out = np.zeros_like(x)
+    for (i, j), win in edge_windows(x, l):
+        out[..., i, j] = win.var(axis=(-2, -1))
+    return out
+
+
+def variance_grad_loop(x, l, g):
+    """d/dx sum(g * var): window (i, j) sends 2 g (x_q - mean) / l^2 to each of
+    its cells q, and edge replication folds padded cells onto the border."""
+    r = (l - 1) // 2
+    h, w = x.shape[-2:]
+    gp = np.zeros(x.shape[:-2] + (h + 2 * r, w + 2 * r))
+    for (i, j), win in edge_windows(x, l):
+        mean = win.mean(axis=(-2, -1), keepdims=True)
+        gp[..., i:i + l, j:j + l] += 2 * g[..., i, j, None, None] * (win - mean) / l**2
+    rows = np.clip(np.arange(h + 2 * r) - r, 0, h - 1)
+    cols = np.clip(np.arange(w + 2 * r) - r, 0, w - 1)
+    out = np.zeros_like(x)
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            out[..., i, j] += gp[..., a, b]
+    return out
+
+
+odd_windows = st.integers(1, 8).map(lambda k: 2 * k + 1)       # 3 .. 17
+leads = st.sampled_from([(1,), (2,), (2, 2), (1, 2, 2)])         # 3-d .. 5-d inputs
+extents = st.tuples(st.integers(1, 20), st.integers(1, 20))
+scales = st.floats(-6, 6).map(lambda e: 10.0 ** e)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestWindowedVarianceProperties:
+    """Properties of the integral-image variance over random geometry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(odd_windows, leads, extents, scales, seeds)
+    def test_matches_window_loop(self, l, lead, hw, scale, seed):
+        x = np.random.default_rng(seed).standard_normal(lead + hw) * scale
+        out = windowed_variance(Tensor(x), l).data
+        assert (out >= 0).all()
+        assert_allclose(out, variance_loop(x, l), rtol=1e-7, atol=1e-9 * scale**2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(odd_windows, leads, extents, seeds)
+    def test_gradient_matches_window_loop(self, l, lead, hw, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal(lead + hw), requires_grad=True)
+        g = rng.standard_normal(lead + hw)
+        (windowed_variance(x, l) * Tensor(g)).sum().backward()
+        assert_allclose(x.grad, variance_grad_loop(x.data, l, g), rtol=1e-7, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(odd_windows, leads, extents, st.integers(1, 12), scales, seeds)
+    def test_exactly_zero_on_constant_windows(self, l, lead, hw, block, scale, seed):
+        """Blocks of one to three levels: every window inside one block is
+        constant and must give exactly 0 with an exactly-0 gradient."""
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 4, lead + tuple(-(-n // block) for n in hw))
+        x = scale * np.kron(levels, np.ones((block, block)))[..., :hw[0], :hw[1]]
+        t = Tensor(x, requires_grad=True)
+        var = windowed_variance(t, l)
+        var.sum().backward()
+        assert (var.data >= 0).all()
+        for (i, j), win in edge_windows(x, l):
+            flat = win.reshape(*lead, -1)
+            constant = (flat == flat[..., :1]).all(axis=-1)
+            assert not var.data[..., i, j][constant].any()
+        if np.all(x == x.reshape(*lead, -1)[..., :1, None]):
+            assert not t.grad.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(odd_windows, leads, extents, scales, seeds)
+    def test_scales_quadratically(self, l, lead, hw, c, seed):
+        x = np.random.default_rng(seed).standard_normal(lead + hw)
+        assert_allclose(windowed_variance(Tensor(c * x), l).data,
+                        c * c * windowed_variance(Tensor(x), l).data,
+                        rtol=1e-7, atol=1e-9 * c * c)
 
 
 def fusion_weight(score, sigma_sq, window=3):

@@ -1,11 +1,14 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lesionseg import training
 from lesionseg.autodiff import Tensor, softmax_channels
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.data import Sample, SynthConfig, gen_synthetic
-from lesionseg.model import ModelConfig
+from lesionseg.model import ModelConfig, model_forward
 from lesionseg.training import (
     AugmentDraw,
     LossRecord,
@@ -229,6 +232,20 @@ class TestTrainLoop:
         head = float(np.mean(losses[:10]))
         tail = float(np.mean(losses[-10:]))
         assert tail < head
+
+    def test_each_step_graph_dies_before_next_forward(self, monkeypatch):
+        steps = []  # per step: weakrefs to its probabilities and score stack
+
+        def watched_forward(*args, **kwargs):
+            assert all(ref() is None for refs in steps for ref in refs), \
+                f"step {len(steps) - 1}'s graph is alive at step {len(steps)}"
+            logits, probs, stack = model_forward(*args, **kwargs)
+            steps.append((weakref.ref(probs.data), weakref.ref(stack)))
+            return logits, probs, stack
+
+        monkeypatch.setattr(training, "model_forward", watched_forward)
+        train(tiny_dataset(count=4), TrainConfig(model=TINY, max_iter=3, batch_size=2))
+        assert len(steps) == 3
 
     def test_evaluate_reports_per_image(self):
         ds = tiny_dataset(count=4)
