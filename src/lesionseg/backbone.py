@@ -44,13 +44,6 @@ class BackboneConfig:
         if any(s not in (1, 2) for s in self.strides):
             raise ConfigError(f"block strides must be 1 or 2, got {self.strides}")
 
-    @property
-    def cumulative_stride(self) -> int:
-        out = 1
-        for s in self.strides:
-            out *= s
-        return out
-
     def block_dilation(self, index: int) -> int:
         if index in DILATED_BLOCK_RATES and self.strides[index] == 1:
             return DILATED_BLOCK_RATES[index]
@@ -63,32 +56,38 @@ class BlockFeatures:
     reduced: Tensor
 
 
+def add_conv(params: dict[str, Tensor], name: str, kernel: np.ndarray) -> None:
+    """Store one conv layer as trainable name.kernel and a zero name.bias."""
+    params[f"{name}.kernel"] = Tensor(kernel, requires_grad=True)
+    params[f"{name}.bias"] = Tensor(np.zeros(kernel.shape[0]), requires_grad=True)
+
+
+def conv_params(params: dict[str, Tensor], name: str, **geometry) -> ConvParams:
+    """The layer add_conv stored under name, with the given geometry."""
+    return ConvParams(params[f"{name}.kernel"], params[f"{name}.bias"], **geometry)
+
+
+def he_kernel(rng: np.random.Generator, out_c: int, in_c: int, k: int) -> np.ndarray:
+    limit = np.sqrt(6.0 / (in_c * k * k))
+    return rng.uniform(-limit, limit, size=(out_c, in_c, k, k))
+
+
 def init_params(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     """He fan-in uniform kernels, zero biases, fully determined by seed."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     in_c = config.in_channels
     for i, out_c in enumerate(config.channels):
-        params[f"backbone.b{i + 1}.kernel"] = he_kernel(rng, out_c, in_c, 3)
-        params[f"backbone.b{i + 1}.bias"] = Tensor(np.zeros(out_c), requires_grad=True)
+        add_conv(params, f"backbone.b{i + 1}", he_kernel(rng, out_c, in_c, 3))
         in_c = out_c
-    params["backbone.reduce.kernel"] = he_kernel(rng, config.reduce_channels, in_c, 1)
-    params["backbone.reduce.bias"] = Tensor(np.zeros(config.reduce_channels),
-                                            requires_grad=True)
+    add_conv(params, "backbone.reduce", he_kernel(rng, config.reduce_channels, in_c, 1))
     return params
-
-
-def he_kernel(rng: np.random.Generator, out_c: int, in_c: int, k: int) -> Tensor:
-    fan_in = in_c * k * k
-    limit = np.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-limit, limit, size=(out_c, in_c, k, k)),
-                  requires_grad=True)
 
 
 def backbone_forward(image: Tensor, config: BackboneConfig,
                      params: dict[str, Tensor]) -> BlockFeatures:
     h, w = image.shape[-2], image.shape[-1]
-    cum = config.cumulative_stride
+    cum = block_factors(config)[-1]
     if h % cum or w % cum:
         raise ShapeMismatchError(
             f"spatial dims {h}x{w} not divisible by cumulative stride {cum}")
@@ -100,16 +99,12 @@ def backbone_forward(image: Tensor, config: BackboneConfig,
     blocks: list[Tensor] = []
     for i in range(5):
         d = config.block_dilation(i)
-        conv = ConvParams(params[f"backbone.b{i + 1}.kernel"],
-                          params[f"backbone.b{i + 1}.bias"],
-                          stride=1, padding=d, dilation=d)
-        x = relu(conv2d(x, conv))
+        x = relu(conv2d(x, conv_params(params, f"backbone.b{i + 1}",
+                                       padding=d, dilation=d)))
         if config.strides[i] == 2:
             x = max_pool2d(x, 2, 2)
         blocks.append(x)
-    reduce = ConvParams(params["backbone.reduce.kernel"],
-                        params["backbone.reduce.bias"])
-    reduced = relu(conv2d(blocks[-1], reduce))
+    reduced = relu(conv2d(blocks[-1], conv_params(params, "backbone.reduce")))
     return BlockFeatures(per_block=blocks, reduced=reduced)
 
 

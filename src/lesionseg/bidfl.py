@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConvParams, ShapeMismatchError, Tensor, concat_channels, conv2d, relu
-from .backbone import ConfigError, he_kernel
+from .autodiff import ConvParams, Tensor, concat_channels, conv2d, relu
+from .backbone import ConfigError, add_conv, conv_params, he_kernel
 
 FUSION_STRATEGIES = ("concat_all", "ends", "sum")
 
@@ -32,11 +32,6 @@ class DilatedBank:
                 f"{len(self.rates)} rates for {len(self.maps)} maps")
         if any(lo >= hi for lo, hi in zip(self.rates, self.rates[1:])):
             raise ConfigError(f"dilation rates must be strictly ascending: {self.rates}")
-        shape = self.maps[0].shape
-        for i, m in enumerate(self.maps):
-            if m.shape != shape:
-                raise ShapeMismatchError(
-                    f"bank map {i} shape {m.shape} != map 0 shape {shape}")
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -57,9 +52,9 @@ class BidflParams:
             raise ConfigError(
                 f"need {j - 1} reducers per direction for a {j}-level bank, got "
                 f"{len(self.forward_reducers)} forward / {len(self.backward_reducers)} backward")
-        if len(self.level_reducers) not in (0, j):
+        if len(self.level_reducers) != j:
             raise ConfigError(
-                f"need 0 or {j} per-level reducers, got {len(self.level_reducers)}")
+                f"need {j} per-level reducers, got {len(self.level_reducers)}")
 
 
 def init_bidfl_params(in_channels: int, bank_channels: int, rates: tuple[int, ...],
@@ -67,49 +62,32 @@ def init_bidfl_params(in_channels: int, bank_channels: int, rates: tuple[int, ..
     if fusion not in FUSION_STRATEGIES:
         raise ConfigError(f"unknown fusion strategy {fusion!r}")
     rng = np.random.default_rng(seed)
-    j = len(rates)
+    j, c = len(rates), bank_channels
     params: dict[str, Tensor] = {}
     for i in range(j):
-        params[f"bidfl.bank.{i}.kernel"] = he_kernel(rng, bank_channels, in_channels, 3)
-        params[f"bidfl.bank.{i}.bias"] = Tensor(np.zeros(bank_channels), requires_grad=True)
+        add_conv(params, f"bidfl.bank.{i}", he_kernel(rng, c, in_channels, 3))
     for direction in ("fwd", "bwd"):
         for i in range(j - 1):
-            params[f"bidfl.{direction}.{i}.kernel"] = he_kernel(
-                rng, bank_channels, 2 * bank_channels, 1)
-            params[f"bidfl.{direction}.{i}.bias"] = Tensor(
-                np.zeros(bank_channels), requires_grad=True)
+            add_conv(params, f"bidfl.{direction}.{i}", he_kernel(rng, c, 2 * c, 1))
     for i in range(j):
-        params[f"bidfl.level.{i}.kernel"] = he_kernel(rng, bank_channels,
-                                                      2 * bank_channels, 1)
-        params[f"bidfl.level.{i}.bias"] = Tensor(np.zeros(bank_channels),
-                                                 requires_grad=True)
-    if fusion == "concat_all":
-        params["bidfl.fuse.kernel"] = he_kernel(rng, bank_channels,
-                                                2 * j * bank_channels, 1)
-        params["bidfl.fuse.bias"] = Tensor(np.zeros(bank_channels), requires_grad=True)
-    elif fusion == "ends":
-        params["bidfl.fuse.kernel"] = he_kernel(rng, bank_channels,
-                                                2 * bank_channels, 1)
-        params["bidfl.fuse.bias"] = Tensor(np.zeros(bank_channels), requires_grad=True)
+        add_conv(params, f"bidfl.level.{i}", he_kernel(rng, c, 2 * c, 1))
+    if fusion != "sum":
+        fused_in = 2 * j * c if fusion == "concat_all" else 2 * c
+        add_conv(params, "bidfl.fuse", he_kernel(rng, c, fused_in, 1))
     return params
 
 
 def bidfl_params_from(params: dict[str, Tensor], rates: tuple[int, ...],
                       fusion: str = "concat_all") -> BidflParams:
     j = len(rates)
-    bank = [ConvParams(params[f"bidfl.bank.{i}.kernel"], params[f"bidfl.bank.{i}.bias"],
-                       padding=rates[i], dilation=rates[i]) for i in range(j)]
-    fwd = [ConvParams(params[f"bidfl.fwd.{i}.kernel"], params[f"bidfl.fwd.{i}.bias"])
-           for i in range(j - 1)]
-    bwd = [ConvParams(params[f"bidfl.bwd.{i}.kernel"], params[f"bidfl.bwd.{i}.bias"])
-           for i in range(j - 1)]
-    levels = [ConvParams(params[f"bidfl.level.{i}.kernel"], params[f"bidfl.level.{i}.bias"])
-              for i in range(j)]
-    fuse = None
-    if fusion in ("concat_all", "ends"):
-        fuse = ConvParams(params["bidfl.fuse.kernel"], params["bidfl.fuse.bias"])
-    return BidflParams(bank_convs=bank, forward_reducers=fwd, backward_reducers=bwd,
-                       level_reducers=levels, fuse_reducer=fuse, rates=tuple(rates))
+    return BidflParams(
+        bank_convs=[conv_params(params, f"bidfl.bank.{i}", padding=r, dilation=r)
+                    for i, r in enumerate(rates)],
+        forward_reducers=[conv_params(params, f"bidfl.fwd.{i}") for i in range(j - 1)],
+        backward_reducers=[conv_params(params, f"bidfl.bwd.{i}") for i in range(j - 1)],
+        level_reducers=[conv_params(params, f"bidfl.level.{i}") for i in range(j)],
+        fuse_reducer=None if fusion == "sum" else conv_params(params, "bidfl.fuse"),
+        rates=tuple(rates))
 
 
 def _maybe_relu(x: Tensor, apply: bool) -> Tensor:
@@ -148,13 +126,6 @@ def backward_pass(bank: DilatedBank, params: BidflParams,
 def fuse_bidirectional(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams,
                        strategy: str = "concat_all", apply_relu: bool = True) -> Tensor:
     """Merge the two refined sequences into one bank-channel feature map."""
-    if len(fwd) != len(bwd):
-        raise ShapeMismatchError(
-            f"directional lists differ in length: {len(fwd)} vs {len(bwd)}")
-    for a, b in zip(fwd, bwd):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(
-                f"directional map shapes differ: {a.shape} vs {b.shape}")
     if strategy == "concat_all":
         merged = concat_channels(list(fwd) + list(bwd))
         return _maybe_relu(conv2d(merged, params.fuse_reducer), apply_relu)
@@ -174,10 +145,6 @@ def fuse_bidirectional(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams
 def per_level_maps(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams,
                    apply_relu: bool = True) -> list[Tensor]:
     """Per-level merge of both directions, feeding the per-level score heads."""
-    if len(fwd) != len(bwd) or len(fwd) != len(params.level_reducers):
-        raise ShapeMismatchError(
-            f"{len(fwd)}/{len(bwd)} directional maps for "
-            f"{len(params.level_reducers)} level reducers")
     out = []
     for f, b, conv in zip(fwd, bwd, params.level_reducers):
         out.append(_maybe_relu(conv2d(concat_channels([f, b]), conv), apply_relu))

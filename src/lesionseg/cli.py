@@ -17,6 +17,7 @@ from .data import (
     DatasetError,
     gen_synthetic,
     load_dataset,
+    load_images,
     read_manifest,
     split_dataset,
     write_manifest,
@@ -220,15 +221,15 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = parse_config(args.config, args.set)
     params, mc, use_bidfl, use_mcdf, sigma_sq = _load_model(args.checkpoint)
-    samples = load_dataset(args.input, size=config_value(cfg, "image_size"))
-    if not samples:
-        raise DatasetError(f"no samples under {args.input}")
+    images = load_images(args.input, size=config_value(cfg, "image_size"))
+    if not images:
+        raise DatasetError(f"no images under {Path(args.input) / 'images'}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
-        mask = predict_mask(sample.image, params, mc, use_bidfl, use_mcdf, sigma_sq)
-        write_mask(mask, out / f"{sample.id}.pgm")
-    print(f"wrote {len(samples)} predicted masks to {out}")
+    for stem, image in images:
+        mask = predict_mask(image, params, mc, use_bidfl, use_mcdf, sigma_sq)
+        write_mask(mask, out / f"{stem}.pgm")
+    print(f"wrote {len(images)} predicted masks to {out}")
     return 0
 
 

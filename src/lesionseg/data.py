@@ -13,7 +13,6 @@ has no codec dependency; PNG works through Pillow when it is installed.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -242,15 +241,10 @@ def gen_synthetic(config: SynthConfig) -> list[Sample]:
 # ---------------------------------------------------------------------------
 
 def _write_pnm(path, arr8: np.ndarray) -> None:
-    if arr8.ndim == 3:
-        header = f"P6\n{arr8.shape[1]} {arr8.shape[0]}\n255\n"
-        payload = arr8
-    else:
-        header = f"P5\n{arr8.shape[1]} {arr8.shape[0]}\n255\n"
-        payload = arr8
+    magic = "P6" if arr8.ndim == 3 else "P5"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(f"{magic}\n{arr8.shape[1]} {arr8.shape[0]}\n255\n".encode("ascii"))
+        fh.write(arr8.tobytes())
 
 
 def _read_pnm(path) -> np.ndarray:
@@ -269,14 +263,21 @@ def _read_pnm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise DatasetError(f"{path}: damaged or truncated header")
         tokens.append(int(blob[start:pos]))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = tokens
     if maxval != 255:
         raise DatasetError(f"{path}: only 8-bit files supported, maxval={maxval}")
+    if width < 1 or height < 1:
+        raise DatasetError(f"{path}: image size {width}x{height} is empty")
     channels = 3 if blob[:2] == b"P6" else 1
-    data = np.frombuffer(blob, dtype=np.uint8, count=width * height * channels,
-                         offset=pos)
+    size = width * height * channels
+    if len(blob) - pos < size:
+        raise DatasetError(f"{path}: truncated, {max(len(blob) - pos, 0)} of "
+                           f"{size} pixel bytes")
+    data = np.frombuffer(blob, dtype=np.uint8, count=size, offset=pos)
     if channels == 3:
         return data.reshape(height, width, 3)
     return data.reshape(height, width)
@@ -345,14 +346,32 @@ def _fit_to_size(arr: np.ndarray, size: int, nearest: bool) -> np.ndarray:
     return np.pad(resized, ((0, 0), (0, size - nh), (0, size - nw)), mode=mode)
 
 
+def _files(directory: Path) -> dict[str, Path]:
+    """The files directly under directory by stem (none if it is absent)."""
+    if not directory.is_dir():
+        return {}
+    return {p.stem: p for p in sorted(directory.glob("*")) if p.is_file()}
+
+
+def _load_image(path: Path, size: int) -> Tensor:
+    raw = _read_any(path)
+    if raw.ndim == 2:
+        raw = np.repeat(raw[:, :, None], 3, axis=2)
+    image = np.moveaxis(raw[:, :, :3], -1, 0).astype(float) / 255.0
+    return Tensor(_fit_to_size(image, size, nearest=False))
+
+
+def load_images(root, size: int = 64) -> list[tuple[str, Tensor]]:
+    """(stem, image) for every file under images/, normalized as load_dataset
+    normalizes them; masks/ is not read."""
+    images = _files(Path(root) / "images")
+    return [(stem, _load_image(images[stem], size)) for stem in sorted(images)]
+
+
 def load_dataset(root, size: int = 64) -> list[Sample]:
     """Read images/ and masks/ with matching stems into normalized samples."""
     root = Path(root)
-    image_dir, mask_dir = root / "images", root / "masks"
-    images = {p.stem: p for p in sorted(image_dir.glob("*")) if p.is_file()} \
-        if image_dir.is_dir() else {}
-    masks = {p.stem: p for p in sorted(mask_dir.glob("*")) if p.is_file()} \
-        if mask_dir.is_dir() else {}
+    images, masks = _files(root / "images"), _files(root / "masks")
     if not images and not masks:
         warnings.warn(f"no samples found under {root}", stacklevel=2)
         return []
@@ -362,17 +381,12 @@ def load_dataset(root, size: int = 64) -> list[Sample]:
 
     samples = []
     for stem in sorted(images):
-        raw = _read_any(images[stem])
-        if raw.ndim == 2:
-            raw = np.repeat(raw[:, :, None], 3, axis=2)
-        image = np.moveaxis(raw[:, :, :3], -1, 0).astype(float) / 255.0
+        image = _load_image(images[stem], size)
         mraw = _read_any(masks[stem])
         if mraw.ndim == 3:
             mraw = mraw[:, :, 0]
-        mask = (mraw >= 128).astype(float)[None]
-        image = _fit_to_size(image, size, nearest=False)
-        mask = _fit_to_size(mask, size, nearest=True)
-        samples.append(Sample(image=Tensor(image), mask=Tensor(mask), id=stem))
+        mask = _fit_to_size((mraw >= 128).astype(float)[None], size, nearest=True)
+        samples.append(Sample(image=image, mask=Tensor(mask), id=stem))
     return samples
 
 

@@ -14,12 +14,10 @@ import numpy as np
 from .autodiff import (
     ConvParams,
     Tensor,
-    clip_min,
     concat_channels,
     conv2d,
     conv_transpose2d,
     grad_check,
-    log,
     max_pool2d,
     relu,
     softmax_channels,

@@ -22,7 +22,7 @@ from .autodiff import (
     exp,
     windowed_variance,
 )
-from .backbone import BlockFeatures, ConfigError, he_kernel
+from .backbone import BlockFeatures, ConfigError, add_conv, conv_params, he_kernel
 
 
 class NonpositiveSigmaError(ValueError):
@@ -93,25 +93,6 @@ def sum_fuse(stack: ScoreStack) -> Tensor:
 class HeadParams:
     classifier: ConvParams
     upsample: ConvParams | None
-    factor: int
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ConfigError(f"upsampling factor must be >= 1, got {self.factor}")
-        if self.factor > 1:
-            if self.upsample is None:
-                raise ConfigError(f"factor {self.factor} head needs upsample params")
-            if self.upsample.stride != self.factor:
-                raise ConfigError(
-                    f"upsample stride {self.upsample.stride} != factor {self.factor}")
-
-
-@dataclass
-class SkipHeadParams:
-    heads: list[HeadParams]
-
-    def __len__(self) -> int:
-        return len(self.heads)
 
 
 def bilinear_kernel(channels: int, factor: int) -> np.ndarray:
@@ -135,62 +116,46 @@ def init_head_params(source_channels: list[int], factors: list[int],
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for k, (in_c, f) in enumerate(zip(source_channels, factors)):
-        params[f"head.{k}.cls.kernel"] = he_kernel(rng, num_classes, in_c, 1)
-        params[f"head.{k}.cls.bias"] = Tensor(np.zeros(num_classes), requires_grad=True)
+        add_conv(params, f"head.{k}.cls", he_kernel(rng, num_classes, in_c, 1))
         if f > 1:
-            params[f"head.{k}.up.kernel"] = Tensor(bilinear_kernel(num_classes, f),
-                                                   requires_grad=True)
-            params[f"head.{k}.up.bias"] = Tensor(np.zeros(num_classes),
-                                                 requires_grad=True)
+            add_conv(params, f"head.{k}.up", bilinear_kernel(num_classes, f))
     return params
 
 
-def head_params_from(params: dict[str, Tensor], factors: list[int]) -> SkipHeadParams:
+def head_params_from(params: dict[str, Tensor], factors: list[int]) -> list[HeadParams]:
+    """One head per factor; a factor f > 1 upsamples by a stride-f transposed conv."""
     heads = []
     for k, f in enumerate(factors):
-        cls = ConvParams(params[f"head.{k}.cls.kernel"], params[f"head.{k}.cls.bias"])
         up = None
         if f > 1:
-            if f % 2:
-                raise ConfigError(f"upsampling factor must be 1 or even, got {f}")
-            up = ConvParams(params[f"head.{k}.up.kernel"], params[f"head.{k}.up.bias"],
-                            stride=f, padding=f // 2)
-        heads.append(HeadParams(classifier=cls, upsample=up, factor=f))
-    return SkipHeadParams(heads=heads)
+            up = conv_params(params, f"head.{k}.up", stride=f, padding=f // 2)
+        heads.append(HeadParams(conv_params(params, f"head.{k}.cls"), up))
+    return heads
 
 
 def classify_upsample(feature: Tensor, head: HeadParams) -> Tensor:
     """Apply one skip head: class scores at the feature's grid, then upsample."""
     scores = conv2d(feature, head.classifier)
-    if head.factor > 1:
+    if head.upsample is not None:
         scores = conv_transpose2d(scores, head.upsample)
     return scores
 
 
 def score_heads(blocks: BlockFeatures, fused_bidfl: Tensor | None,
-                per_level: list[Tensor], params: SkipHeadParams,
+                per_level: list[Tensor], params: list[HeadParams],
                 windows: tuple[int, ...], sigma_sq: float) -> ScoreStack:
     """Class-score maps from every skip layer, all at full label resolution.
 
     Sources are the five block outputs followed by the per-level maps; when
     the bidirectional module is active its fused output replaces the raw
     block-5 feature, so the top-layer head reads the enhanced representation.
+    ScoreStack checks the window count and that every map has one shape.
     """
     sources = list(blocks.per_block)
     if fused_bidfl is not None:
         sources[4] = fused_bidfl
     sources.extend(per_level)
-    if len(sources) != len(params.heads):
-        raise ConfigError(
-            f"{len(sources)} head inputs for {len(params.heads)} heads")
-    if len(windows) != len(sources):
-        raise ConfigError(
-            f"{len(windows)} windows for {len(sources)} score maps")
-    maps = [classify_upsample(src, head) for src, head in zip(sources, params.heads)]
-    target = maps[0].shape[-2:]
-    for k, m in enumerate(maps):
-        if m.shape[-2:] != target:
-            raise ShapeMismatchError(
-                f"head {k} produced {m.shape[-2:]}, expected {target}; "
-                f"check its upsampling factor")
+    if len(sources) != len(params):
+        raise ConfigError(f"{len(sources)} head inputs for {len(params)} heads")
+    maps = [classify_upsample(src, head) for src, head in zip(sources, params)]
     return ScoreStack(maps=maps, windows=tuple(windows), sigma_sq=sigma_sq)

@@ -85,23 +85,28 @@ class ModelConfig:
         return self.windows if use_bidfl else self.windows[:5]
 
 
+def _head_factors(config: ModelConfig, use_bidfl: bool) -> list[int]:
+    """Upsampling factor of every skip head: one per block, then one per bank
+    level at the top block's stride."""
+    factors = block_factors(config.backbone)
+    if use_bidfl:
+        factors += [factors[-1]] * len(config.rates)
+    return factors
+
+
 def build_params(config: ModelConfig, seed: int, use_bidfl: bool) -> dict[str, Tensor]:
     """All trainable tensors for one architecture, split-seeded per module."""
     seeds = np.random.SeedSequence(seed).spawn(3)
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
     params = init_backbone_params(config.backbone, seed_ints[0])
-    chans = list(config.backbone.channels)
-    factors = block_factors(config.backbone)
-    head_channels = list(chans)
-    head_factors = list(factors)
+    head_channels = list(config.backbone.channels)
     if use_bidfl:
         params.update(init_bidfl_params(
             config.backbone.reduce_channels, config.bank_channels, config.rates,
             seed_ints[1], fusion=config.fusion))
         head_channels[4] = config.bank_channels          # block-5 head reads fused map
         head_channels += [config.bank_channels] * len(config.rates)
-        head_factors += [factors[-1]] * len(config.rates)
-    params.update(init_head_params(head_channels, head_factors,
+    params.update(init_head_params(head_channels, _head_factors(config, use_bidfl),
                                    config.num_classes, seed_ints[2]))
     return params
 
@@ -122,9 +127,7 @@ def model_forward(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
                                    apply_relu=config.reducer_relu)
         levels = per_level_maps(fwd, bwd, bp, apply_relu=config.reducer_relu)
 
-    factors = block_factors(config.backbone)
-    head_factors = list(factors) + [factors[-1]] * len(levels)
-    heads = head_params_from(params, head_factors)
+    heads = head_params_from(params, _head_factors(config, use_bidfl))
     stack = score_heads(blocks, fused, levels, heads,
                         config.head_windows(use_bidfl), sigma_sq)
     logits = fuse_scores(stack, stop_grad_alpha) if use_mcdf else sum_fuse(stack)

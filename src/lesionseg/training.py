@@ -170,16 +170,6 @@ def apply_augment(image: np.ndarray, mask: np.ndarray,
     return np.ascontiguousarray(image), np.ascontiguousarray(mask)
 
 
-def augment(image: Tensor, mask: Tensor,
-            rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """One random flip+scale draw applied identically to image and mask."""
-    if image.shape[-2:] != mask.shape[-2:]:
-        raise ShapeMismatchError(
-            f"image {image.shape} / mask {mask.shape} spatial mismatch")
-    img, msk = apply_augment(image.data, mask.data, sample_augment(rng))
-    return Tensor(img), Tensor(msk)
-
-
 # ---------------------------------------------------------------------------
 # training and evaluation loops
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_shape_chain_random_configs():
         strides = tuple(int(s) for s in rng.integers(1, 3, size=5))
         channels = tuple(int(c) for c in rng.integers(2, 8, size=5))
         cfg = BackboneConfig(channels=channels, strides=strides, reduce_channels=4)
-        size = cfg.cumulative_stride * int(rng.integers(2, 5))
+        size = block_factors(cfg)[-1] * int(rng.integers(2, 5))
         feats = backbone_forward(Tensor(rng.random((3, size, size))), cfg,
                                  init_params(cfg, 1))
         expect = size

@@ -287,6 +287,35 @@ class TestWorkflow:
         masks = sorted(out.glob("*.pgm"))
         assert len(masks) == 6
 
+    def test_predict_reads_images_alone(self, workspace, tmp_path):
+        _, data, run = workspace
+        bare = tmp_path / "bare"
+        shutil.copytree(data / "images", bare / "images")
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        for source, out in ((data, both), (bare, alone)):
+            assert run_cli("predict", "--checkpoint", str(run / "checkpoint.ckpt"),
+                           "--input", str(source), "--out", str(out), *sets()) == 0
+        masks = sorted(p.name for p in alone.iterdir())
+        assert masks == [f"synth{i:04d}.pgm" for i in range(6)]
+        for name in masks:
+            assert filecmp.cmp(both / name, alone / name, shallow=False), name
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_damaged_image_fails_closed(self, workspace, tmp_path, capsys, command):
+        _, data, run = workspace
+        damaged = tmp_path / "damaged"
+        shutil.copytree(data, damaged)
+        image = damaged / "images" / "synth0003.ppm"
+        image.write_bytes(image.read_bytes()[:40])
+        capsys.readouterr()
+        source = "--data" if command == "eval" else "--input"
+        code = run_cli(command, "--checkpoint", str(run / "checkpoint.ckpt"),
+                       source, str(damaged), "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {image}: truncated")
+        assert err.count("\n") == 1
+
     def test_train_deterministic_checkpoints(self, workspace, tmp_path):
         _, data, run = workspace
         rerun = tmp_path / "rerun"

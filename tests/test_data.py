@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,7 @@ from lesionseg.data import (
     write_manifest,
     write_mask,
     write_sample,
+    _read_pnm,
 )
 
 
@@ -189,6 +192,30 @@ class TestLoadDataset:
         assert sample.image.shape == (3, 16, 16)
         assert sample.mask.shape == (1, 16, 16)
         assert not sample.mask.data[0, 8:, :].any()  # padded rows are background
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("name, pixels", [
+        ("img.ppm", np.arange(3 * 4 * 5).reshape(3, 4, 5) / 60.0),
+        ("mask.pgm", np.eye(4, 5)[None]),
+    ])
+    def test_every_truncation_names_the_file(self, tmp_path, name, pixels):
+        whole = tmp_path / name
+        (write_image if name.endswith(".ppm") else write_mask)(pixels, whole)
+        blob = whole.read_bytes()
+        cut = tmp_path / f"cut_{name}"
+        for offset in range(len(blob)):
+            cut.write_bytes(blob[:offset])
+            with pytest.raises(DatasetError, match=re.escape(str(cut))):
+                _read_pnm(cut)
+
+    @pytest.mark.parametrize("header", [b"P6\nx 4\n255\n", b"P6\n4 -4\n255\n",
+                                        b"P5\n0 4\n255\n", b"P5 4 4 255.0\n"])
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(DatasetError, match=re.escape(str(path))):
+            _read_pnm(path)
 
 
 class TestManifestAndSplit:

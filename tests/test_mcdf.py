@@ -331,7 +331,7 @@ class TestScoreHeads:
         maps = []
         for c, f in zip(chans, factors):
             src = Tensor(rng.random((c, 64 // f, 64 // f)))
-            maps.append(classify_upsample(src, hp.heads[len(maps)]))
+            maps.append(classify_upsample(src, hp[len(maps)]))
         stack = ScoreStack(maps, (3, 5, 7, 9), 10.0)
         assert len(stack) == 4
         for m in stack.maps:

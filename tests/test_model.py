@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from lesionseg import model
 from lesionseg.autodiff import Tensor, gradients
 from lesionseg.backbone import BackboneConfig, ConfigError
+from lesionseg.bidfl import FUSION_STRATEGIES
 from lesionseg.model import (
     DESK_RATES,
     PAPER_RATES,
@@ -58,6 +60,28 @@ def test_forward_shapes_all_ablations():
             assert probs.shape == (2, 32, 32)
             assert len(stack) == (7 if use_bidfl else 5)
             np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-12)
+
+
+class ReadLog(dict):
+    """A parameter dict that records every name read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("fusion", FUSION_STRATEGIES)
+@pytest.mark.parametrize("use_bidfl", [False, True])
+def test_forward_reads_exactly_the_built_parameters(use_bidfl, fusion):
+    # a layer built and never read, or read and never built, breaks this
+    config = replace(TINY, fusion=fusion)
+    params = ReadLog(build_params(config, seed=0, use_bidfl=use_bidfl))
+    model_forward(Tensor(np.zeros((3, 32, 32))), params, config, use_bidfl, True, 10.0)
+    assert params.read == set(params)
 
 
 def test_forward_batched_matches_single():
