@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .backbone import CheckpointError, ConfigError, load_checkpoint, save_checkpoint
@@ -146,7 +147,10 @@ def cmd_gen_data(args) -> int:
 
 def _load_split(data_dir: str, cfg: dict[str, str]) -> tuple[list, list]:
     """The manifest's train/val split, or a train.split/seed split without one."""
-    samples = load_dataset(data_dir, size=config_value(cfg, "image_size"))
+    with warnings.catch_warnings():
+        # the error below says it in one line
+        warnings.filterwarnings("ignore", "no samples found under", UserWarning)
+        samples = load_dataset(data_dir, size=config_value(cfg, "image_size"))
     if not samples:
         raise DatasetError(f"no samples under {data_dir}")
     manifest = read_manifest(data_dir)

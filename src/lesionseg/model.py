@@ -37,6 +37,10 @@ from .schema import Schema, build, field_type, format_value, sections
 PAPER_RATES = (3, 6, 12, 18, 24)
 PAPER_WINDOWS = (3, 3, 3, 5, 7, 9, 11, 13, 15, 17)
 DESK_RATES = (1, 2, 4, 6, 8)
+# Images per predict_mask forward pass. On the desk model, 4 is the fastest
+# chunk, and its probabilities equal a whole batch-40 pass byte for byte (a
+# chunk of 2 differs in the last bits).
+PREDICT_CHUNK = 4
 
 # configuration keys -> (section, field); see schema.py
 MODEL_KEYS: Schema = {
@@ -138,12 +142,20 @@ def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
                  use_bidfl: bool, use_mcdf: bool, sigma_sq: float) -> np.ndarray:
     """Binary lesion mask: lesion-channel probability thresholded at 0.5.
 
-    Runs on detached parameters, so the forward pass records no graph.
+    Runs on detached parameters, so the forward pass records no graph, and
+    a batch at most PREDICT_CHUNK images at a time, so peak memory does not
+    grow with the batch size.
     """
     frozen = {name: p.detach() for name, p in params.items()}
-    _, probs, _ = model_forward(image, frozen, config, use_bidfl, use_mcdf, sigma_sq)
-    lesion = probs.data[..., 0, :, :]
-    return (lesion > 0.5).astype(float)
+    if image.ndim == 3:
+        chunks = [image]
+    else:
+        chunks = [Tensor(image.data[i:i + PREDICT_CHUNK])
+                  for i in range(0, len(image.data), PREDICT_CHUNK)]
+    # each chunk's activations and score maps are garbage once its mask is cut
+    masks = [model_forward(chunk, frozen, config, use_bidfl, use_mcdf, sigma_sq)[1]
+             .data[..., 0, :, :] > 0.5 for chunk in chunks]
+    return np.concatenate(masks).astype(float)
 
 
 def config_echo(config: ModelConfig, use_bidfl: bool, use_mcdf: bool,

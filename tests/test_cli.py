@@ -1,5 +1,8 @@
 import filecmp
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from lesionseg.cli import DEFAULTS, config_value, main, parse_config
 from lesionseg.data import load_dataset, split_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 # every key a checkpoint echo holds, spelled as checkpoints spell them
 ECHO_KEYS = [
     "backbone.channels", "backbone.in_channels", "backbone.reduce",
@@ -315,6 +319,24 @@ class TestWorkflow:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {image}: truncated")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["missing", "empty"])
+    def test_no_dataset_is_one_stderr_line(self, workspace, tmp_path, command, empty):
+        # a separate process, so a warning reaches stderr as it would for a user
+        _, _, run = workspace
+        data = tmp_path / "data"
+        if empty:
+            data.mkdir()
+        args = ["--checkpoint", str(run / "checkpoint.ckpt")] if command == "eval" else []
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "lesionseg.cli", command, *args,
+             "--data", str(data), "--out", str(tmp_path / "out"), *sets()],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: no samples under {data}\n"
 
     def test_train_deterministic_checkpoints(self, workspace, tmp_path):
         _, data, run = workspace

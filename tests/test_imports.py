@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and no
+module reads the environment: every setting is a config key or an option."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,30 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: from os import {alias.name}"
+                      for alias in node.names if alias.name in ENVIRONMENT_READS]
+    return found
+
+
+def test_detects_an_environment_read():
+    assert environment_reads("import os\nos.environ.get('N')\n") == ["line 2: os.environ"]
+    assert environment_reads("import os\nn = os.getenv('N')\n") == ["line 2: os.getenv"]
+    assert environment_reads("from os import getenv\n") == ["line 1: from os import getenv"]
+    assert environment_reads("import os\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []

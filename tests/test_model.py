@@ -1,5 +1,7 @@
 import gc
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from lesionseg import model
 from lesionseg.autodiff import Tensor, gradients
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.bidfl import FUSION_STRATEGIES
+from lesionseg.cli import parse_config, train_config
 from lesionseg.model import (
     DESK_RATES,
     PAPER_RATES,
     PAPER_WINDOWS,
+    PREDICT_CHUNK,
     ModelConfig,
     build_params,
     config_echo,
@@ -25,6 +29,19 @@ TINY = ModelConfig(
     backbone=BackboneConfig(channels=(4, 6, 6, 6, 6), strides=(1, 2, 2, 1, 1),
                             reduce_channels=4),
     rates=(1, 2), bank_channels=4, windows=(3, 3, 3, 5, 7, 3, 3))
+DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """The benchmark's model, randomly initialised, and 64x64 images for it."""
+    tc = train_config(parse_config(str(DESK_CFG)))
+    params = build_params(tc.model, seed=3, use_bidfl=True)
+    images = np.random.default_rng(7).random((16, 3, 64, 64))
+
+    def predict(image):
+        return predict_mask(Tensor(image), params, tc.model, True, True, tc.sigma_sq)
+    return predict, images
 
 
 def test_published_constants():
@@ -116,6 +133,38 @@ def test_predict_mask_records_no_graph(monkeypatch):
     predict_mask(Tensor(rng.random((3, 32, 32))), params, TINY, True, True, 10.0)
     (probs,) = recorded
     assert probs._parents == () and probs._backward is None
+
+
+def test_predict_mask_chunks_match_single_images(desk, monkeypatch):
+    predict, images = desk
+    singles = np.stack([predict(image) for image in images[:9]])
+    sizes = []
+
+    def forward(image, *args, **kwargs):
+        out = model_forward(image, *args, **kwargs)
+        sizes.append(len(image.data))
+        assert out[1]._parents == () and out[1]._backward is None
+        return out
+
+    monkeypatch.setattr(model, "model_forward", forward)
+    for batch in (1, 4, 6, 9):        # remainder chunks of 2 and 1
+        sizes.clear()
+        assert np.array_equal(predict(images[:batch]), singles[:batch])
+        assert sum(sizes) == batch and max(sizes) <= PREDICT_CHUNK
+
+
+def test_predict_mask_memory_does_not_grow_with_batch(desk):
+    predict, images = desk
+
+    def peak_bytes(batch):
+        tracemalloc.start()
+        try:
+            predict(images[:batch])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(16) <= 1.5 * peak_bytes(4)
 
 
 def test_training_step_leaves_no_reference_cycles():
