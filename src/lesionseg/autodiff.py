@@ -443,33 +443,27 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
                    for lo, hi in zip([0] + ends[:-1], ends)))
 
 
-def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max over window x window patches; ties route to the first element."""
-    if window < 1 or stride < 1:
-        raise ValueError(f"window and stride must be >= 1, got {window}, {stride}")
+def max_pool2d(x: Tensor) -> Tensor:
+    """Max over disjoint 2x2 patches (stride 2); ties route to the first
+    element, and an odd last row or column is dropped."""
     h, w = x.shape[-2], x.shape[-1]
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
+    oh, ow = h // 2, w // 2
     if oh < 1 or ow < 1:
         raise DegenerateOutputError(
             f"max_pool output {oh}x{ow} from input {h}x{w}")
     x4 = _as_4d(x.data)
     n, c = x4.shape[:2]
-    win = sliding_window_view(x4, (window, window), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, window * window)
+    win = sliding_window_view(x4, (2, 2), axis=(2, 3))
+    win = win[:, :, ::2, ::2].reshape(n, c, oh, ow, 4)
     arg = win.argmax(axis=-1)
     out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def vjp(g):
         ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=True)
-        cells = (ni, ci, oy * stride + arg // window, ox * stride + arg % window)
         gx = np.zeros_like(x4)
-        if window <= stride:
-            # disjoint windows: each cell takes at most one gradient; + 0.0
-            # turns -0.0 into 0.0, as adding into zeros does
-            gx[cells] = _as_4d(g) + 0.0
-        else:
-            np.add.at(gx, cells, _as_4d(g))
+        # each cell takes at most one gradient; + 0.0 turns -0.0 into 0.0,
+        # as adding into zeros does
+        gx[ni, ci, oy * 2 + arg // 2, ox * 2 + arg % 2] = _as_4d(g) + 0.0
         return gx[0] if x.ndim == 3 else gx
 
     return _node("max_pool2d", out_data[0] if x.ndim == 3 else out_data, (x,), vjp)
@@ -579,16 +573,14 @@ def gradients(root: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(builder: Callable[[Tensor], Tensor], x: Tensor,
-               eps: float = 1e-5) -> float:
+def grad_check(builder: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     builder must map a tensor to a scalar tensor and be free of side effects;
     it is re-invoked for every perturbed evaluation. Relative error per
     element is |a - n| / max(1e-8, |a| + |n|).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = 1e-5  # central-difference step
     base = np.array(x.data, dtype=np.float64)
     probe = Tensor(base, requires_grad=True)
     out = builder(probe)

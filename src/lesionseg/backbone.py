@@ -25,6 +25,8 @@ class ConfigError(ValueError):
 
 # dilation used by blocks 4 and 5 whenever their configured stride is 1
 DILATED_BLOCK_RATES = {3: 2, 4: 4}
+# RGB: the loaders give every image three channels
+IMAGE_CHANNELS = 3
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class BackboneConfig:
     channels: tuple[int, ...] = (8, 16, 32, 32, 32)
     strides: tuple[int, ...] = (1, 2, 2, 1, 1)
     reduce_channels: int = 16
-    in_channels: int = 3
 
     def __post_init__(self):
         if len(self.channels) != 5 or len(self.strides) != 5:
@@ -76,7 +77,7 @@ def init_params(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
     """He fan-in uniform kernels, zero biases, fully determined by seed."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    in_c = config.in_channels
+    in_c = IMAGE_CHANNELS
     for i, out_c in enumerate(config.channels):
         add_conv(params, f"backbone.b{i + 1}", he_kernel(rng, out_c, in_c, 3))
         in_c = out_c
@@ -91,9 +92,6 @@ def backbone_forward(image: Tensor, config: BackboneConfig,
     if h % cum or w % cum:
         raise ShapeMismatchError(
             f"spatial dims {h}x{w} not divisible by cumulative stride {cum}")
-    if image.shape[-3] != config.in_channels:
-        raise ShapeMismatchError(
-            f"image channels {image.shape[-3]} != configured {config.in_channels}")
 
     x = image
     blocks: list[Tensor] = []
@@ -102,7 +100,7 @@ def backbone_forward(image: Tensor, config: BackboneConfig,
         x = relu(conv2d(x, conv_params(params, f"backbone.b{i + 1}",
                                        padding=d, dilation=d)))
         if config.strides[i] == 2:
-            x = max_pool2d(x, 2, 2)
+            x = max_pool2d(x)
         blocks.append(x)
     reduced = relu(conv2d(blocks[-1], conv_params(params, "backbone.reduce")))
     return BlockFeatures(per_block=blocks, reduced=reduced)

@@ -51,7 +51,6 @@ KEYS: Schema = {
     "train.batch_size": ("train", "batch_size"),
     "train.class_weights": ("train", "class_weights"),
     "train.momentum": ("train", "momentum"),
-    "train.augment": ("train", "augment"),
     "synth.count": ("synth", "count"),
     "synth.size": ("synth", "size"),
     "synth.lesion_fraction": ("synth", "lesion_fraction"),
@@ -146,17 +145,25 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_split(data_dir: str, cfg: dict[str, str]) -> tuple[list, list]:
-    """The manifest's train/val split, or a train.split/seed split without one."""
+    """The manifest's train/val split, or a train.split/seed split without one.
+    A manifest must give every sample the split train or val."""
     with warnings.catch_warnings():
         # the error below says it in one line
         warnings.filterwarnings("ignore", "no samples found under", UserWarning)
         samples = load_dataset(data_dir, size=config_value(cfg, "image_size"))
     if not samples:
         raise DatasetError(f"no samples under {data_dir}")
-    manifest = read_manifest(data_dir)
-    if manifest:
-        train_set = [s for s in samples if manifest.get(s.id) != "val"]
-        val_set = [s for s in samples if manifest.get(s.id) == "val"]
+    path = Path(data_dir) / "manifest.csv"
+    if path.is_file():
+        manifest = read_manifest(data_dir)
+        for s in samples:
+            if s.id not in manifest:
+                raise DatasetError(f"{path} does not list sample {s.id}")
+            if manifest[s.id] not in ("train", "val"):
+                raise DatasetError(f"{path}: sample {s.id} has split "
+                                   f"{manifest[s.id]!r}, expected train or val")
+        train_set = [s for s in samples if manifest[s.id] == "train"]
+        val_set = [s for s in samples if manifest[s.id] == "val"]
     else:
         train_set, val_set = split_dataset(samples, config_value(cfg, "train.split"),
                                            config_value(cfg, "seed"))

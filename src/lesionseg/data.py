@@ -347,10 +347,17 @@ def _fit_to_size(arr: np.ndarray, size: int, nearest: bool) -> np.ndarray:
 
 
 def _files(directory: Path) -> dict[str, Path]:
-    """The files directly under directory by stem (none if it is absent)."""
+    """The files directly under directory by stem (none if it is absent); two
+    files with one stem are a DatasetError naming both."""
     if not directory.is_dir():
         return {}
-    return {p.stem: p for p in sorted(directory.glob("*")) if p.is_file()}
+    files: dict[str, Path] = {}
+    for p in sorted(directory.glob("*")):
+        if p.is_file():
+            if p.stem in files:
+                raise DatasetError(f"{files[p.stem]} and {p} share the stem {p.stem!r}")
+            files[p.stem] = p
+    return files
 
 
 def _load_image(path: Path, size: int) -> Tensor:

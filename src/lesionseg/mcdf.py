@@ -25,6 +25,10 @@ from .autodiff import (
 from .backbone import BlockFeatures, ConfigError, add_conv, conv_params, he_kernel
 
 
+# class-score channels: lesion, background
+NUM_CLASSES = 2
+
+
 class NonpositiveSigmaError(ValueError):
     pass
 
@@ -54,9 +58,6 @@ class ScoreStack:
                 raise ConfigError(f"window {l} exceeds map extent {h}x{w}")
         if self.sigma_sq <= 0:
             raise NonpositiveSigmaError(f"sigma_sq must be positive, got {self.sigma_sq}")
-
-    def __len__(self) -> int:
-        return len(self.maps)
 
 
 def fuse_scores(stack: ScoreStack, stop_grad_alpha: bool = False) -> Tensor:
@@ -108,7 +109,7 @@ def bilinear_kernel(channels: int, factor: int) -> np.ndarray:
 
 
 def init_head_params(source_channels: list[int], factors: list[int],
-                     num_classes: int, seed: int) -> dict[str, Tensor]:
+                     seed: int) -> dict[str, Tensor]:
     """He-init 1x1 classifiers; upsampling starts as bilinear interpolation."""
     if len(source_channels) != len(factors):
         raise ConfigError(
@@ -116,9 +117,9 @@ def init_head_params(source_channels: list[int], factors: list[int],
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for k, (in_c, f) in enumerate(zip(source_channels, factors)):
-        add_conv(params, f"head.{k}.cls", he_kernel(rng, num_classes, in_c, 1))
+        add_conv(params, f"head.{k}.cls", he_kernel(rng, NUM_CLASSES, in_c, 1))
         if f > 1:
-            add_conv(params, f"head.{k}.up", bilinear_kernel(num_classes, f))
+            add_conv(params, f"head.{k}.up", bilinear_kernel(NUM_CLASSES, f))
     return params
 
 

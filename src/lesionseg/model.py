@@ -47,7 +47,6 @@ MODEL_KEYS: Schema = {
     "backbone.channels": ("backbone", "channels"),
     "backbone.strides": ("backbone", "strides"),
     "backbone.reduce": ("backbone", "reduce_channels"),
-    "backbone.in_channels": ("backbone", "in_channels"),
     "bank.rates": ("model", "rates"),
     "bank.channels": ("model", "bank_channels"),
     "bidfl.fusion": ("model", "fusion"),
@@ -62,9 +61,7 @@ RUN_KEYS: Schema = {
     "mcdf.sigma_sq": ("train", "sigma_sq"),
 }
 # what a checkpoint records
-ECHO_KEYS: Schema = {**MODEL_KEYS, **RUN_KEYS,
-                     "model.num_classes": ("model", "num_classes"),
-                     "train.seed": ("train", "seed")}
+ECHO_KEYS: Schema = {**MODEL_KEYS, **RUN_KEYS, "train.seed": ("train", "seed")}
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,6 @@ class ModelConfig:
     fusion: str = "concat_all"
     reducer_relu: bool = True
     bank_relu: bool = True
-    num_classes: int = 2
 
     def __post_init__(self):
         expected = 5 + len(self.rates)
@@ -111,7 +107,7 @@ def build_params(config: ModelConfig, seed: int, use_bidfl: bool) -> dict[str, T
         head_channels[4] = config.bank_channels          # block-5 head reads fused map
         head_channels += [config.bank_channels] * len(config.rates)
     params.update(init_head_params(head_channels, _head_factors(config, use_bidfl),
-                                   config.num_classes, seed_ints[2]))
+                                   seed_ints[2]))
     return params
 
 

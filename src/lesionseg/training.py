@@ -38,7 +38,6 @@ class TrainConfig:
     use_bidfl: bool = True
     use_mcdf: bool = True
     momentum: float = 0.0
-    augment: bool = True
     stop_grad_alpha: bool = False
 
     def __post_init__(self):
@@ -221,10 +220,8 @@ def train(dataset: list[Sample], config: TrainConfig) -> tuple[TrainState, list[
 
         images, masks = [], []
         for idx in picks:
-            sample = dataset[idx]
-            img, msk = sample.image.data, sample.mask.data
-            if config.augment:
-                img, msk = apply_augment(img, msk, sample_augment(aug_rng))
+            img, msk = apply_augment(dataset[idx].image.data, dataset[idx].mask.data,
+                                     sample_augment(aug_rng))
             images.append(img)
             masks.append(msk)
         batch = Tensor(np.stack(images))

@@ -96,7 +96,7 @@ def test_init_seed_behaviour():
 
 def test_init_he_scale():
     cfg = BackboneConfig(channels=(64, 64, 64, 64, 64), strides=(1, 1, 1, 1, 1),
-                         reduce_channels=8, in_channels=64)
+                         reduce_channels=8)
     params = init_params(cfg, seed=7)
     k = params["backbone.b3.kernel"].data
     fan_in = 64 * 9

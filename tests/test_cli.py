@@ -17,10 +17,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
 # every key a checkpoint echo holds, spelled as checkpoints spell them
 ECHO_KEYS = [
-    "backbone.channels", "backbone.in_channels", "backbone.reduce",
-    "backbone.strides", "bank.channels", "bank.rates", "bidfl.bank_relu",
-    "bidfl.fusion", "bidfl.reducer_relu", "mcdf.sigma_sq", "mcdf.windows",
-    "model.num_classes", "train.seed", "train.use_bidfl", "train.use_mcdf",
+    "backbone.channels", "backbone.reduce", "backbone.strides", "bank.channels",
+    "bank.rates", "bidfl.bank_relu", "bidfl.fusion", "bidfl.reducer_relu",
+    "mcdf.sigma_sq", "mcdf.windows", "train.seed", "train.use_bidfl",
+    "train.use_mcdf",
 ]
 
 TINY_OVERRIDES = [
@@ -118,12 +118,21 @@ class TestExitCodes:
                        "--set", "not.a.key=1")
         assert code == 2
 
+    @pytest.mark.parametrize("setting", ["backbone.in_channels=3", "train.augment=true"])
+    def test_fixed_settings_are_unknown_keys(self, tmp_path, capsys, setting):
+        # RGB input and augmentation have one working value, so no key sets them
+        code = run_cli("train", "--data", str(tmp_path), "--out", str(tmp_path / "x"),
+                       "--set", setting)
+        assert code == 2
+        key = setting.partition("=")[0]
+        assert capsys.readouterr().err == f"error: unknown configuration key {key!r}\n"
+
     @pytest.mark.parametrize("command", ["gen-data", "train"])
     @pytest.mark.parametrize("setting, message", [
         ("train.max_iter=abc", "train.max_iter: expected int, got 'abc'"),
         ("train.class_weights=0.8,x",
          "train.class_weights: expected tuple[float, float], got '0.8,x'"),
-        ("train.augment=maybe", "train.augment: expected bool, got 'maybe'"),
+        ("train.use_mcdf=maybe", "train.use_mcdf: expected bool, got 'maybe'"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, setting, message):
         args = ["--data", str(tmp_path)] if command == "train" else []
@@ -238,6 +247,54 @@ class TestWorkflow:
             f"error: {bad}: parameter head.0.cls.kernel has shape (2, 3, 1, 1), "
             f"expected (2, 4, 1, 1)\n")
 
+    def test_older_echo_gives_identical_outputs(self, workspace, tmp_path):
+        # checkpoints written before the image channels and the class count
+        # were fixed also echo them
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        older = tmp_path / "older.ckpt"
+        save_checkpoint(older, params, {**echo, "backbone.in_channels": "3",
+                                        "model.num_classes": "2"})
+        for name, ckpt in (("now", run / "checkpoint.ckpt"), ("older", older)):
+            assert run_cli("predict", "--checkpoint", str(ckpt), "--input", str(data),
+                           "--out", str(tmp_path / name / "pred"), *sets()) == 0
+            assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(data),
+                           "--out", str(tmp_path / name / "eval"), *sets()) == 0
+        for rel in [f"pred/synth{i:04d}.pgm" for i in range(6)] + ["eval/metrics.csv"]:
+            assert filecmp.cmp(tmp_path / "now" / rel, tmp_path / "older" / rel,
+                               shallow=False), rel
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("backbone.in_channels", "1",
+         "parameter backbone.b1.kernel has shape (4, 1, 3, 3), expected (4, 3, 3, 3)"),
+        ("model.num_classes", "3",
+         "parameter head.0.cls.bias has shape (3,), expected (2,)"),
+    ])
+    def test_older_other_geometry_fails_closed(self, workspace, tmp_path, capsys,
+                                               command, key, value, message):
+        # the layer shapes an older checkpoint built with another image
+        # channel count or class count carries
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        for name, p in params.items():
+            shape = list(p.shape)
+            if key == "backbone.in_channels" and name == "backbone.b1.kernel":
+                shape[1] = int(value)
+            elif key == "model.num_classes" and name.startswith("head."):
+                shape[0] = int(value)
+                if name.endswith(".up.kernel"):
+                    shape[1] = int(value)
+            params[name] = Tensor(np.zeros(shape))
+        older = tmp_path / "older.ckpt"
+        save_checkpoint(older, params, {**echo, key: value})
+        capsys.readouterr()
+        source = "--data" if command == "eval" else "--input"
+        code = run_cli(command, "--checkpoint", str(older), source, str(data),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {older}: {message}\n"
+
     def test_eval_checkpoint_directory_fails_closed(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         capsys.readouterr()
@@ -274,6 +331,59 @@ class TestWorkflow:
         assert len(ids) == 3
         samples = load_dataset(bare, size=32)
         assert ids == [s.id for s in split_dataset(samples, 0.5, 3)[1]]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unlisted_sample_fails_closed(self, workspace, tmp_path, capsys, command):
+        # a smaller gen-data run into the same directory leaves old samples
+        # on disk that its manifest does not list
+        _, _, run = workspace
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--out", str(data), *sets()) == 0
+        assert run_cli("gen-data", "--out", str(data), *sets(["synth.count=4"])) == 0
+        capsys.readouterr()
+        args = ["--checkpoint", str(run / "checkpoint.ckpt")] if command == "eval" else []
+        code = run_cli(command, *args, "--data", str(data),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / 'manifest.csv'} does not list sample synth0004\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("split", ["Val", "test", ""])
+    def test_unknown_split_fails_closed(self, workspace, tmp_path, capsys,
+                                        command, split):
+        _, data, run = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        manifest = copy / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace(
+            "synth0002,train", f"synth0002,{split}").replace(
+            "synth0002,val", f"synth0002,{split}"))
+        capsys.readouterr()
+        args = ["--checkpoint", str(run / "checkpoint.ckpt")] if command == "eval" else []
+        code = run_cli(command, *args, "--data", str(copy),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: sample synth0002 has split {split!r}, "
+            f"expected train or val\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_shared_stem_fails_closed(self, workspace, tmp_path, capsys, command):
+        _, data, run = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        shutil.copy(copy / "masks" / "synth0001.pgm", copy / "images" / "synth0001.pgm")
+        capsys.readouterr()
+        args = [] if command == "train" else ["--checkpoint", str(run / "checkpoint.ckpt")]
+        source = "--input" if command == "predict" else "--data"
+        code = run_cli(command, *args, source, str(copy),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        images = copy / "images"
+        assert capsys.readouterr().err == (
+            f"error: {images / 'synth0001.pgm'} and {images / 'synth0001.ppm'} "
+            f"share the stem 'synth0001'\n")
 
     def test_eval_ablation_mismatch_rejected(self, workspace, tmp_path):
         root, data, run = workspace

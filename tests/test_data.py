@@ -171,6 +171,16 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="only"):
             load_dataset(tmp_path, size=8)
 
+    def test_shared_stem_error_names_both_files(self, tmp_path):
+        (tmp_path / "images").mkdir()
+        (tmp_path / "masks").mkdir()
+        write_image(np.zeros((3, 8, 8)), tmp_path / "images" / "a.ppm")
+        write_image(np.zeros((3, 8, 8)), tmp_path / "images" / "a.pgm")
+        write_mask(np.zeros((1, 8, 8)), tmp_path / "masks" / "a.pgm")
+        both = f"{tmp_path / 'images' / 'a.pgm'} and {tmp_path / 'images' / 'a.ppm'}"
+        with pytest.raises(DatasetError, match=re.escape(both)):
+            load_dataset(tmp_path, size=8)
+
     def test_mask_binarized_at_128(self, tmp_path):
         (tmp_path / "images").mkdir()
         (tmp_path / "masks").mkdir()

@@ -316,10 +316,10 @@ class TestScoreHeads:
         bb = init_params(DESK, seed=0)
         feats = backbone_forward(Tensor(rng.random((3, 32, 32))), DESK, bb)
         factors = block_factors(DESK)
-        hp = init_head_params([4, 6, 8, 8, 8], factors, num_classes=2, seed=1)
+        hp = init_head_params([4, 6, 8, 8, 8], factors, seed=1)
         heads = head_params_from(hp, factors)
         stack = score_heads(feats, None, [], heads, (3, 3, 3, 5, 7), 10.0)
-        assert len(stack) == 5
+        assert len(stack.maps) == 5
         for m in stack.maps:
             assert m.shape == (2, 32, 32)
 
@@ -327,13 +327,13 @@ class TestScoreHeads:
         rng = np.random.default_rng(13)
         chans = [3, 5, 4, 6]
         factors = [1, 2, 4, 4]
-        hp = head_params_from(init_head_params(chans, factors, 2, seed=3), factors)
+        hp = head_params_from(init_head_params(chans, factors, seed=3), factors)
         maps = []
         for c, f in zip(chans, factors):
             src = Tensor(rng.random((c, 64 // f, 64 // f)))
             maps.append(classify_upsample(src, hp[len(maps)]))
         stack = ScoreStack(maps, (3, 5, 7, 9), 10.0)
-        assert len(stack) == 4
+        assert len(stack.maps) == 4
         for m in stack.maps:
             assert m.shape == (2, 64, 64)
 
@@ -341,7 +341,7 @@ class TestScoreHeads:
         bb = init_params(DESK, seed=4)
         feats = backbone_forward(Tensor(np.zeros((3, 32, 32))), DESK, bb)
         factors = block_factors(DESK)
-        hp = init_head_params([4, 6, 8, 8, 8], factors, 2, seed=5)
+        hp = init_head_params([4, 6, 8, 8, 8], factors, seed=5)
         stack = score_heads(feats, None, [], head_params_from(hp, factors),
                             (3, 3, 3, 5, 7), 10.0)
         for m in stack.maps:
@@ -352,7 +352,7 @@ class TestScoreHeads:
         bb = init_params(DESK, seed=6)
         feats = backbone_forward(Tensor(rng.random((3, 32, 32))), DESK, bb)
         factors = block_factors(DESK)
-        hp = head_params_from(init_head_params([4, 6, 8, 8, 8], factors, 2, seed=7),
+        hp = head_params_from(init_head_params([4, 6, 8, 8, 8], factors, seed=7),
                               factors)
         base = score_heads(feats, None, [], hp, (3, 3, 3, 5, 7), 10.0)
         fused = Tensor(rng.random(feats.per_block[4].shape))
@@ -365,7 +365,7 @@ class TestScoreHeads:
         bb = init_params(DESK, seed=8)
         feats = backbone_forward(Tensor(np.zeros((3, 32, 32))), DESK, bb)
         factors = block_factors(DESK)
-        hp = head_params_from(init_head_params([4, 6, 8, 8, 8], factors, 2, seed=9),
+        hp = head_params_from(init_head_params([4, 6, 8, 8, 8], factors, seed=9),
                               factors)
         with pytest.raises(ConfigError):
             score_heads(feats, None, [], hp, (3, 3, 3), 10.0)

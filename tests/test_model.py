@@ -75,7 +75,7 @@ def test_forward_shapes_all_ablations():
                                                  use_mcdf, sigma_sq=10.0)
             assert logits.shape == (2, 32, 32)
             assert probs.shape == (2, 32, 32)
-            assert len(stack) == (7 if use_bidfl else 5)
+            assert len(stack.maps) == (7 if use_bidfl else 5)
             np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-12)
 
 

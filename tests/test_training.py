@@ -178,7 +178,7 @@ class TestTrainLoop:
         # base_lr must be positive, so the closest legal probe is 1e-12
         ds = tiny_dataset()
         cfg = TrainConfig(model=TINY, base_lr=1e-12, power=1.0, max_iter=1,
-                          seed=3, batch_size=2, augment=False)
+                          seed=3, batch_size=2)
         state, records = train(ds, cfg)
         from lesionseg.model import build_params
         seeds = np.random.SeedSequence(3).spawn(3)
@@ -210,7 +210,7 @@ class TestTrainLoop:
         poisoned[0, 0, 0] = np.nan
         ds[0] = Sample(image=Tensor(poisoned), mask=ds[0].mask, id=ds[0].id)
         cfg = TrainConfig(model=TINY, base_lr=0.05, max_iter=20, seed=1,
-                          batch_size=len(ds), augment=False)
+                          batch_size=len(ds))
         with pytest.raises(TrainingDivergedError, match="iteration"):
             train(ds, cfg)
 
@@ -249,7 +249,7 @@ class TestTrainLoop:
     def test_evaluate_reports_per_image(self):
         ds = tiny_dataset(count=4)
         cfg = TrainConfig(model=TINY, base_lr=0.05, max_iter=2, seed=0,
-                          batch_size=2, augment=False)
+                          batch_size=2)
         state, _ = train(ds, cfg)
         report, ids = evaluate(ds, state.parameters, TINY, True, True, 10.0)
         assert len(report.entries) == 4
