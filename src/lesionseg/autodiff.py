@@ -7,11 +7,16 @@ calling ``backward()`` on a scalar result walks the graph once in reverse
 topological order and accumulates exact gradients into every reachable
 tensor that has ``requires_grad`` set.
 
+Backward consumes the graph: once an interior node's rules have run, it
+drops its gradient, its rules and its links to its inputs, so a step's
+memory is released as the walk goes. Leaves (parameters, probes) keep their
+gradients. A second backward through a consumed node raises SpentGraphError.
+
 Each operation gives its forward value and one gradient rule per input to
 ``_node``; a result of inputs that need no gradient records no graph.
 
-All arithmetic is 64-bit. Graphs are throwaway: they exist only while the
-output tensor is alive and are rebuilt from scratch on every forward pass.
+All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
+scratch on every forward pass.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ class EvenWindowError(ValueError):
 
 class NonScalarRootError(ValueError):
     """backward() was called on a tensor that is not a scalar."""
+
+
+class SpentGraphError(ValueError):
+    """backward() reached a node that an earlier backward() consumed."""
 
 
 Vjp = Callable[[np.ndarray], np.ndarray]
@@ -83,7 +92,12 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into all ancestor tensors."""
+        """Accumulate gradients of this scalar into all ancestor tensors.
+
+        Consumes the graph: every interior node drops its gradient, rules and
+        input links once its rules have run, and a later backward() through
+        any of them raises SpentGraphError. Leaves keep their gradients.
+        """
         if self.data.size != 1:
             raise NonScalarRootError(
                 f"backward root must be scalar, got shape {self.data.shape}")
@@ -98,14 +112,22 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node.requires_grad and node._backward is None and node._op != "leaf":
+                raise SpentGraphError(
+                    f"{node._op} node was consumed by an earlier backward(); "
+                    f"run the forward pass again")
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # pop rather than iterate, so a released node is not kept alive
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = node._backward = None
+                node._parents = ()
 
     # -- elementwise arithmetic (numpy broadcasting, gradients summed back) --
 
@@ -334,24 +356,33 @@ def _check_channels(x: Tensor, bias: Tensor, in_c: int, out_c: int,
 
 
 def _conv_node(op: str, x: Tensor, params: ConvParams, out4: np.ndarray,
-               vjp_x4: Vjp, vjp_kernel: Vjp) -> Tensor:
-    """Bias add, 3-d round trip and node of conv2d and its adjoint; the two
-    rules take the 4-d output gradient."""
+               vjp_x4: Vjp, vjp_kernel: Vjp, relu: bool = False) -> Tensor:
+    """Bias add, optional in-place ReLU, 3-d round trip and node of conv2d and
+    its adjoint; the two rules take the 4-d output gradient."""
     squeezed = x.ndim == 3
     out4 = np.ascontiguousarray(out4)
     out4 += params.bias.data[None, :, None, None]
+    if relu:
+        np.maximum(out4, 0.0, out=out4)
 
     def vjp_x(g):
         gx = vjp_x4(_as_4d(g))
         return gx[0] if squeezed else gx
 
-    return _node(op, out4[0] if squeezed else out4, (x, params.kernel, params.bias),
-                 vjp_x, lambda g: vjp_kernel(_as_4d(g)),
-                 lambda g: _as_4d(g).sum(axis=(0, 2, 3)))
+    out = _node(op, out4[0] if squeezed else out4, (x, params.kernel, params.bias),
+                vjp_x, lambda g: vjp_kernel(_as_4d(g)),
+                lambda g: _as_4d(g).sum(axis=(0, 2, 3)))
+    if relu and out._backward is not None:
+        # the ReLU's rule, run once ahead of the input, kernel and bias rules;
+        # y > 0 exactly where the pre-activation is
+        rules, y = out._backward, out.data
+        out._backward = lambda g: rules(g * (y > 0))
+    return out
 
 
-def conv2d(x: Tensor, params: ConvParams) -> Tensor:
-    """Dilated 2-d correlation over the channel axis, plus bias."""
+def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
+    """Dilated 2-d correlation over the channel axis, plus bias; relu=True
+    also applies a ReLU, recording one node instead of two."""
     kernel = params.kernel.data
     s, p, d = params.stride, params.padding, params.dilation
     oc, ic, kh, kw = kernel.shape
@@ -372,7 +403,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             "conv2d", x, params,
             np.moveaxis(np.tensordot(x4, k2, axes=([1], [1])), 3, 1),
             lambda g4: np.moveaxis(np.tensordot(g4, k2, axes=([1], [0])), 3, 1),
-            lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None])
+            lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None],
+            relu)
     # the kernel rule reuses the forward columns
     cols = _im2col(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
     out4 = _correlate(cols, kernel, x4.shape[0], (oh, ow))
@@ -381,7 +413,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return _conv_node(
         "conv2d", x, params, out4,
         lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
-        lambda g4: _kernel_grad(g4, cols, kernel.shape))
+        lambda g4: _kernel_grad(g4, cols, kernel.shape), relu)
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -578,7 +610,9 @@ def grad_check(builder: Callable[[Tensor], Tensor], x: Tensor) -> float:
 
     builder must map a tensor to a scalar tensor and be free of side effects;
     it is re-invoked for every perturbed evaluation. Relative error per
-    element is |a - n| / max(1e-8, |a| + |n|).
+    element is |a - n| / max(1e-8, |a| + |n|). A case whose analytic and
+    numeric gradients are both all zero returns inf: it would pass while
+    checking nothing.
     """
     eps = 1e-5  # central-difference step
     base = np.array(x.data, dtype=np.float64)
@@ -599,5 +633,7 @@ def grad_check(builder: Callable[[Tensor], Tensor], x: Tensor) -> float:
         flat[i] = orig
         nflat[i] = (hi - lo) / (2.0 * eps)
 
+    if not analytic.any() and not numeric.any():
+        return float("inf")  # all-zero gradients: the case checks nothing
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float((np.abs(analytic - numeric) / denom).max())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ConvParams, ShapeMismatchError, Tensor, conv2d, max_pool2d, relu
+from .autodiff import ConvParams, ShapeMismatchError, Tensor, conv2d, max_pool2d
 
 
 class ConfigError(ValueError):
@@ -97,12 +97,12 @@ def backbone_forward(image: Tensor, config: BackboneConfig,
     blocks: list[Tensor] = []
     for i in range(5):
         d = config.block_dilation(i)
-        x = relu(conv2d(x, conv_params(params, f"backbone.b{i + 1}",
-                                       padding=d, dilation=d)))
+        x = conv2d(x, conv_params(params, f"backbone.b{i + 1}", padding=d, dilation=d),
+                   relu=True)
         if config.strides[i] == 2:
             x = max_pool2d(x)
         blocks.append(x)
-    reduced = relu(conv2d(blocks[-1], conv_params(params, "backbone.reduce")))
+    reduced = conv2d(blocks[-1], conv_params(params, "backbone.reduce"), relu=True)
     return BlockFeatures(per_block=blocks, reduced=reduced)
 
 

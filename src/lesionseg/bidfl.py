@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ConvParams, Tensor, concat_channels, conv2d, relu
+from .autodiff import ConvParams, Tensor, concat_channels, conv2d
 from .backbone import ConfigError, add_conv, conv_params, he_kernel
 
 FUSION_STRATEGIES = ("concat_all", "ends", "sum")
@@ -90,13 +90,9 @@ def bidfl_params_from(params: dict[str, Tensor], rates: tuple[int, ...],
         rates=tuple(rates))
 
 
-def _maybe_relu(x: Tensor, apply: bool) -> Tensor:
-    return relu(x) if apply else x
-
-
 def dilated_bank(f0: Tensor, params: BidflParams, apply_relu: bool = True) -> DilatedBank:
     """One same-padded 3x3 conv per dilation rate over the shared input."""
-    maps = [_maybe_relu(conv2d(f0, conv), apply_relu) for conv in params.bank_convs]
+    maps = [conv2d(f0, conv, relu=apply_relu) for conv in params.bank_convs]
     return DilatedBank(rates=params.rates, maps=maps)
 
 
@@ -106,8 +102,7 @@ def forward_pass(bank: DilatedBank, params: BidflParams,
     refined = [bank.maps[0]]
     for j in range(1, len(bank)):
         merged = concat_channels([refined[-1], bank.maps[j]])
-        refined.append(_maybe_relu(conv2d(merged, params.forward_reducers[j - 1]),
-                                   apply_relu))
+        refined.append(conv2d(merged, params.forward_reducers[j - 1], relu=apply_relu))
     return refined
 
 
@@ -118,8 +113,7 @@ def backward_pass(bank: DilatedBank, params: BidflParams,
     refined = [bank.maps[-1]]
     for j in range(j_total - 2, -1, -1):
         merged = concat_channels([refined[0], bank.maps[j]])
-        refined.insert(0, _maybe_relu(conv2d(merged, params.backward_reducers[j]),
-                                      apply_relu))
+        refined.insert(0, conv2d(merged, params.backward_reducers[j], relu=apply_relu))
     return refined
 
 
@@ -128,10 +122,10 @@ def fuse_bidirectional(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams
     """Merge the two refined sequences into one bank-channel feature map."""
     if strategy == "concat_all":
         merged = concat_channels(list(fwd) + list(bwd))
-        return _maybe_relu(conv2d(merged, params.fuse_reducer), apply_relu)
+        return conv2d(merged, params.fuse_reducer, relu=apply_relu)
     if strategy == "ends":
         merged = concat_channels([fwd[-1], bwd[0]])
-        return _maybe_relu(conv2d(merged, params.fuse_reducer), apply_relu)
+        return conv2d(merged, params.fuse_reducer, relu=apply_relu)
     if strategy == "sum":
         out = fwd[0]
         for m in fwd[1:]:
@@ -147,5 +141,5 @@ def per_level_maps(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams,
     """Per-level merge of both directions, feeding the per-level score heads."""
     out = []
     for f, b, conv in zip(fwd, bwd, params.level_reducers):
-        out.append(_maybe_relu(conv2d(concat_channels([f, b]), conv), apply_relu))
+        out.append(conv2d(concat_channels([f, b]), conv, relu=apply_relu))
     return out

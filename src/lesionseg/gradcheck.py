@@ -69,6 +69,14 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
             lambda k: (conv2d(x, ConvParams(k, bias, padding=2, dilation=2)) * w).sum(),
             k0)
 
+    def conv_relu_kernel():
+        x = Tensor(rng.standard_normal((2, 2, 6, 6)))
+        w = Tensor(rng.standard_normal((2, 3, 6, 6)))
+        bias = Tensor(rng.standard_normal(3))
+        k0 = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        return grad_check(
+            lambda k: (conv2d(x, ConvParams(k, bias, padding=1), relu=True) * w).sum(), k0)
+
     def conv_pointwise():
         x = Tensor(rng.standard_normal((3, 5, 5)))
         w = Tensor(rng.standard_normal((2, 5, 5)))
@@ -184,6 +192,7 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         # the cases draw from one rng in this order: new cases go last, so
         # that the others keep their inputs
         ("conv2d_batched_kernel", conv_batched_kernel),
+        ("conv2d_relu_kernel", conv_relu_kernel),
     ]
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -9,6 +9,7 @@ from lesionseg.autodiff import (
     DegenerateOutputError,
     NonScalarRootError,
     ShapeMismatchError,
+    SpentGraphError,
     Tensor,
     concat_channels,
     _node,
@@ -118,6 +119,42 @@ class TestTensor:
         assert np.array_equal(grads[0], grads[1])
 
 
+class TestGraphRelease:
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        c = Tensor([3.0, 4.0])
+        mid = x * c
+        root = relu(mid + x).sum()
+        interior = [root, root._parents[0], mid]
+        root.backward()
+        assert_allclose(x.grad, [4.0, 0.0])
+        assert c.grad is None
+        for node in interior:
+            assert node.grad is None and node._backward is None, node._op
+            assert node._parents == (), node._op
+
+    def test_second_backward_on_a_spent_root_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        root = (x * x).sum()
+        root.backward()
+        with pytest.raises(SpentGraphError, match="earlier backward"):
+            root.backward()
+        assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_new_root_over_a_spent_subgraph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        shared = x * x
+        (shared * 2.0).sum().backward()
+        with pytest.raises(SpentGraphError):
+            (shared * 3.0).sum().backward()
+
+    def test_leaf_root_may_run_backward_again(self):
+        x = Tensor(2.0, requires_grad=True)
+        x.backward()
+        x.backward()
+        assert x.grad == 2.0
+
+
 class TestNode:
     def test_inputs_without_grad_record_no_graph(self):
         rng = np.random.default_rng(8)
@@ -208,6 +245,32 @@ class TestConv2d:
         assert_allclose(shifted[:, 3:-3, 3:-3],
                         np.roll(base, (2, 1), axis=(1, 2))[:, 3:-3, 3:-3],
                         atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 2), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([(), (2,)]), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @example(1, 0, 1, 1, (), 2, 3, 2, 0)   # the 1x1 contraction path, 3-d
+    @example(1, 0, 1, 1, (2,), 3, 2, 0, 1)  # and 4-d
+    def test_relu_fold_matches_relu_node(self, s, pad, d, k, lead, ic, oc, extra, seed):
+        """conv2d(x, p, relu=True) equals relu(conv2d(x, p)) byte for byte, in
+        its value and in the input, kernel and bias gradients."""
+        rng = np.random.default_rng(seed)
+        size = d * (k - 1) + 1 + extra
+        x0 = rng.standard_normal(lead + (ic, size, size))
+        k0, b0 = rng.standard_normal((oc, ic, k, k)), rng.standard_normal(oc)
+
+        def run(fold):
+            x = Tensor(x0, requires_grad=True)
+            p = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True),
+                           stride=s, padding=pad, dilation=d)
+            out = conv2d(x, p, relu=True) if fold else relu(conv2d(x, p))
+            g = np.random.default_rng(seed).standard_normal(out.shape)
+            value = out.data.tobytes()
+            (out * Tensor(g)).sum().backward()
+            return value, x.grad.tobytes(), p.kernel.grad.tobytes(), p.bias.grad.tobytes()
+
+        assert run(True) == run(False)
 
     def test_channel_mismatch_error(self):
         with pytest.raises(ShapeMismatchError, match="channels"):
@@ -469,3 +532,9 @@ class TestGradChecks:
 
         err = grad_check(ce, Tensor(self.rng.standard_normal((2, 3, 3))))
         assert err < 1e-6
+
+    def test_all_zero_gradients_fail(self):
+        # the case would pass while checking nothing
+        err = grad_check(lambda t: (t * 0.0).sum(),
+                         Tensor(self.rng.standard_normal((2, 3))))
+        assert err == float("inf")

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lesionseg.autodiff import Tensor
+from lesionseg import gradcheck
+from lesionseg.autodiff import Tensor, grad_check
 from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
 from lesionseg.data import load_dataset, split_dataset
@@ -473,3 +474,12 @@ def test_gradcheck_subcommand_default_tolerance(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok") >= 16
+
+
+def test_gradcheck_subcommand_fails_a_case_that_checks_nothing(capsys, monkeypatch):
+    def all_zero():
+        return grad_check(lambda t: (t * 0.0).sum(), Tensor(np.ones((2, 3))))
+    monkeypatch.setattr(gradcheck, "_cases", lambda: [("all_zero", all_zero)])
+    assert run_cli("gradcheck") == 2
+    out = capsys.readouterr().out
+    assert "FAIL all_zero" in out and "max relative error inf" in out
