@@ -300,6 +300,12 @@ def _im2col(windows: np.ndarray) -> np.ndarray:
     return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
 
 
+def _im2col_channel_major(windows: np.ndarray) -> np.ndarray:
+    """(N,C,outH,outW,kh,kw) windows as contiguous (C*kh*kw, N*outH*outW) columns."""
+    n, c, oh, ow, kh, kw = windows.shape
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
+
+
 def _correlate(cols: np.ndarray, kernel: np.ndarray, n: int,
                out_hw: tuple[int, int]) -> np.ndarray:
     """Contract columns with an (O,C,kh,kw) kernel into an (N,O,outH,outW) view."""
@@ -396,24 +402,27 @@ def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
             f"(k={kh}x{kw}, stride={s}, pad={p}, dilation={d})")
 
     x4 = _as_4d(x.data)
+    n = x4.shape[0]
     if kh == kw == 1 and s == 1 and p == 0:
-        # pointwise: a channel contraction, differentiated 4x faster than windows
+        # pointwise: one (O,C) @ (C,H*W) product per image, so an image's
+        # output does not depend on the batch; differentiated as a channel
+        # contraction, 4x faster than windows
         k2 = kernel[:, :, 0, 0]
         return _conv_node(
-            "conv2d", x, params,
-            np.moveaxis(np.tensordot(x4, k2, axes=([1], [1])), 3, 1),
+            "conv2d", x, params, (k2 @ x4.reshape(n, ic, h * w)).reshape(n, oc, h, w),
             lambda g4: np.moveaxis(np.tensordot(g4, k2, axes=([1], [0])), 3, 1),
             lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None],
             relu)
-    # the kernel rule reuses the forward columns
-    cols = _im2col(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
-    out4 = _correlate(cols, kernel, x4.shape[0], (oh, ow))
+    # channel-major columns: the product comes out (O,N,outH,outW), already in
+    # output order at N = 1, and the kernel rule reuses the forward columns
+    cols = _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
+    out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow), 0, 1)
     if not params.kernel.requires_grad:
         cols = None  # no kernel rule: free them before the output is copied
     return _conv_node(
         "conv2d", x, params, out4,
         lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
-        lambda g4: _kernel_grad(g4, cols, kernel.shape), relu)
+        lambda g4: _kernel_grad(g4, cols.T, kernel.shape), relu)
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -437,6 +446,9 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
     x4 = _as_4d(x.data)
     # Both gradients read the output gradient's columns. _node runs the input
     # rule first, so when the kernel rule runs too it takes the same columns.
+    # They stay row-major, unlike conv2d's: the kernel product reduces over
+    # every pixel into as many rows as input channels (2 in the score heads),
+    # and channel-major columns change its last bits.
     handoff: list[np.ndarray] = []
     kernel_rule_runs = params.kernel.requires_grad
 
@@ -485,17 +497,24 @@ def max_pool2d(x: Tensor) -> Tensor:
             f"max_pool output {oh}x{ow} from input {h}x{w}")
     x4 = _as_4d(x.data)
     n, c = x4.shape[:2]
-    win = sliding_window_view(x4, (2, 2), axis=(2, 3))
-    win = win[:, :, ::2, ::2].reshape(n, c, oh, ow, 4)
-    arg = win.argmax(axis=-1)
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    # the four corners of every patch, as strided views of the input
+    quads = x4[:, :, :2 * oh, :2 * ow].reshape(n, c, oh, 2, ow, 2)
+    a, b, cc, d = (quads[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    # np.maximum returns its second operand on a tie (+0.0 against -0.0), so
+    # the corners go in last to first and the value is the first maximum's
+    out_data = np.maximum(np.maximum(d, cc), np.maximum(b, a))
 
     def vjp(g):
-        ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=True)
+        # flat index of each patch's first maximal corner in row order: its
+        # offset from the patch's top-left cell (0, 1, w or w + 1) plus that
+        # cell's own index
+        at = (a != out_data) * (1 + (b != out_data) * (w - 1 + (cc != out_data)))
+        at += (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+               + np.arange(0, 2 * oh * w, 2 * w)[:, None] + np.arange(0, 2 * ow, 2))
         gx = np.zeros_like(x4)
         # each cell takes at most one gradient; + 0.0 turns -0.0 into 0.0,
         # as adding into zeros does
-        gx[ni, ci, oy * 2 + arg // 2, ox * 2 + arg % 2] = _as_4d(g) + 0.0
+        gx.reshape(-1)[at] = _as_4d(g) + 0.0
         return gx[0] if x.ndim == 3 else gx
 
     return _node("max_pool2d", out_data[0] if x.ndim == 3 else out_data, (x,), vjp)

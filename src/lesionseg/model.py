@@ -38,8 +38,8 @@ PAPER_RATES = (3, 6, 12, 18, 24)
 PAPER_WINDOWS = (3, 3, 3, 5, 7, 9, 11, 13, 15, 17)
 DESK_RATES = (1, 2, 4, 6, 8)
 # Images per predict_mask forward pass. On the desk model, 4 is the fastest
-# chunk, and its probabilities equal a whole batch-40 pass byte for byte (a
-# chunk of 2 differs in the last bits).
+# chunk, and batches of 1 to 12 give each image the same probabilities byte
+# for byte.
 PREDICT_CHUNK = 4
 
 # configuration keys -> (section, field); see schema.py

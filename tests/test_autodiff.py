@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import (
@@ -43,6 +46,28 @@ def naive_conv2d(x, kernel, bias, stride, pad, dil):
                                       j * stride + kx * dil] * kernel[o, c, ky, kx]
                 out[o, i, j] = acc + bias[o]
     return out
+
+
+def tap_loop_conv2d(x, kernel, bias, stride, pad, dil, g):
+    """Batched reference: the value and the input, kernel and bias gradients
+    of conv2d against output gradient g, one kernel tap at a time."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = kernel.shape
+    oh, ow = g.shape[-2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((n, c_out, oh, ow))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for ky in range(kh):
+        for kx in range(kw):
+            rows = slice(ky * dil, ky * dil + stride * (oh - 1) + 1, stride)
+            cols = slice(kx * dil, kx * dil + stride * (ow - 1) + 1, stride)
+            tap = kernel[:, :, ky, kx]
+            out += np.einsum("nchw,oc->nohw", xp[:, :, rows, cols], tap)
+            gxp[:, :, rows, cols] += np.einsum("nohw,oc->nchw", g, tap)
+            gk[:, :, ky, kx] = np.einsum("nohw,nchw->oc", g, xp[:, :, rows, cols])
+    out += bias[None, :, None, None]
+    return out, gxp[:, :, pad:pad + h, pad:pad + w], gk, g.sum(axis=(0, 2, 3))
 
 
 def make_params(kernel, bias=None, **kw):
@@ -227,6 +252,30 @@ class TestConv2d:
                                                 padding=p, dilation=d)).data
             assert_allclose(got, naive_conv2d(x, kern, bias, s, p, d), atol=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
+           st.tuples(st.integers(1, 5), st.integers(1, 5)), st.integers(1, 3),
+           st.integers(0, 3), st.integers(1, 3),
+           st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(0, 2**32 - 1))
+    @example(2, 3, 4, (1, 1), 1, 0, 1, (3, 5), 0)   # the pointwise path
+    def test_batched_matches_tap_loop(self, n, ic, oc, k, s, pad, d, extra, seed):
+        """4-d batches, rectangular maps and kernels: the value and all three
+        gradients match a per-tap loop, so no batch and channel axes mix."""
+        rng = np.random.default_rng(seed)
+        hw = [max(1, d * (kk - 1) + 1 - 2 * pad) + e for kk, e in zip(k, extra)]
+        x0 = rng.standard_normal((n, ic, *hw))
+        k0, b0 = rng.standard_normal((oc, ic, *k)), rng.standard_normal(oc)
+        x = Tensor(x0, requires_grad=True)
+        p = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True),
+                       stride=s, padding=pad, dilation=d)
+        out = conv2d(x, p)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        want = tap_loop_conv2d(x0, k0, b0, s, pad, d, g)
+        for got, ref in zip((out.data, x.grad, p.kernel.grad, p.bias.grad), want):
+            assert got.shape == ref.shape
+            assert_allclose(got, ref, rtol=0, atol=1e-9)
+
     def test_linearity(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal((2, 6, 6)), rng.standard_normal((2, 6, 6))
@@ -281,6 +330,80 @@ class TestConv2d:
         with pytest.raises(DegenerateOutputError):
             conv2d(Tensor(np.zeros((1, 4, 4))),
                    make_params(np.zeros((1, 1, 3, 3)), dilation=2))
+
+
+def row_major_conv2d(x, kernel, bias, pad, dil, g, with_relu):
+    """conv2d at stride 1 from row-major im2col columns (one row per output
+    pixel) or, for a 1x1 kernel, a tensordot: the value and the input, kernel
+    and bias gradients, each in that formula's operation order."""
+    n, c, h, w = x.shape
+    oc, _, kh, kw = kernel.shape
+    oh, ow = g.shape[-2:]
+    if kh == kw == 1:
+        k2 = kernel[:, :, 0, 0]
+        out = np.moveaxis(np.tensordot(x, k2, axes=([1], [1])), 3, 1)
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        win = sliding_window_view(xp, (dil * (kh - 1) + 1, dil * (kw - 1) + 1),
+                                  axis=(2, 3))[:, :, :oh, :ow, ::dil, ::dil]
+        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+        out = np.moveaxis((cols @ kernel.reshape(oc, -1).T).reshape(n, oh, ow, oc), 3, 1)
+    out = np.ascontiguousarray(out)
+    out += bias[None, :, None, None]
+    if with_relu:
+        np.maximum(out, 0.0, out=out)
+        g = g * (out > 0)
+    if kh == kw == 1:
+        gx = np.moveaxis(np.tensordot(g, k2, axes=([1], [0])), 3, 1)
+        gk = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
+    else:
+        # the input rule: one contraction, then per-tap shifted adds
+        taps = np.einsum("naij,abkl->nbklij", g, kernel, optimize=True)
+        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        for ky in range(kh):
+            for kx in range(kw):
+                gxp[:, :, ky * dil:ky * dil + oh, kx * dil:kx * dil + ow] += taps[:, :, ky, kx]
+        gx = gxp[:, :, pad:pad + h, pad:pad + w]
+        gk = (np.moveaxis(g, 1, 0).reshape(oc, -1) @ cols).reshape(kernel.shape)
+    return out, gx, gk, g.sum(axis=(0, 2, 3))
+
+
+# (input channels, height = width, output channels, kernel size, padding =
+# dilation, ReLU folded in) of every conv2d in the configs/desk.cfg model
+DESK_CONVS = [
+    # encoder blocks 1-5
+    (3, 64, 12, 3, 1, True), (12, 64, 24, 3, 1, True), (24, 32, 48, 3, 1, True),
+    (48, 16, 48, 3, 2, True), (48, 16, 48, 3, 4, True),
+    # the block-5 reduction and the sweeps' reducers, then the dilated bank
+    # and the fusion reducer
+    (48, 16, 24, 1, 0, True), *((24, 16, 24, 3, d, True) for d in (1, 2, 4, 6, 8)),
+    (240, 16, 24, 1, 0, True),
+    # the score heads' classifiers
+    (12, 64, 2, 1, 0, False), (24, 32, 2, 1, 0, False), (48, 16, 2, 1, 0, False),
+    (24, 16, 2, 1, 0, False),
+]
+
+
+class TestConv2dBytes:
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("c, size, oc, k, pad, with_relu", DESK_CONVS)
+    def test_desk_geometry_matches_row_major_columns(self, c, size, oc, k, pad, with_relu,
+                                                     n):
+        """Column layout changes a GEMM's summation order at some shapes; at
+        the desk model's, conv2d's value and gradients keep their bytes."""
+        rng = np.random.default_rng(size * c + oc + pad)
+        x0 = rng.standard_normal((n, c, size, size))
+        k0 = rng.standard_normal((oc, c, k, k)) * 0.2
+        b0 = rng.standard_normal(oc) * 0.1
+        x = Tensor(x0, requires_grad=True)
+        p = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True),
+                       padding=pad, dilation=max(pad, 1))
+        out = conv2d(x, p, relu=with_relu)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        want = row_major_conv2d(x0, k0, b0, pad, max(pad, 1), g, with_relu)
+        got = (out.data, x.grad, p.kernel.grad, p.bias.grad)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 class TestConvTranspose2d:
@@ -440,7 +563,48 @@ def max_pool_grad_loop(x, g):
     return out
 
 
+def argmax_max_pool2d(x, g):
+    """max_pool2d's value and input gradient from each window's argmax, the
+    formula the engine used before it read strided corner views."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    win = sliding_window_view(x, (2, 2), axis=(2, 3))[:, :, ::2, ::2].reshape(n, c, oh, ow, 4)
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    ni, ci, oy, ox = np.indices((n, c, oh, ow), sparse=True)
+    gx = np.zeros_like(x)
+    gx[ni, ci, oy * 2 + arg // 2, ox * 2 + arg % 2] = g + 0.0
+    return out, gx
+
+
 class TestMaxPool2d:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(1, 1), (2, 1), (2, 3)]),
+           st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(0, 2**32 - 1))
+    def test_bytes_match_argmax_formula(self, lead, extra, seed):
+        """Ties between equal values and between -0.0 and 0.0, odd extents,
+        and -0.0 in the output gradient: value and gradient keep their bytes."""
+        rng = np.random.default_rng(seed)
+        levels = np.array([-1.0, -0.0, 0.0, 1.0])
+        x = Tensor(levels[rng.integers(0, 4, lead + (2 + extra[0], 2 + extra[1]))],
+                   requires_grad=True)
+        out = max_pool2d(x)
+        g = np.where(rng.random(out.shape) < 0.3, -0.0, rng.standard_normal(out.shape))
+        (out * Tensor(g)).sum().backward()
+        want_out, want_gx = argmax_max_pool2d(x.data, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == want_gx.tobytes()
+
+    def test_forward_copies_no_window(self):
+        x = Tensor(np.random.default_rng(0).standard_normal((4, 24, 64, 64)))
+        tracemalloc.start()
+        try:
+            max_pool2d(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes, f"peak {peak} bytes"
+
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(1,), (2,), (2, 3)]),
            st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(0, 2**32 - 1))

@@ -111,6 +111,20 @@ def test_forward_batched_matches_single():
         assert np.array_equal(batch_probs.data[i], one.data)
 
 
+@pytest.mark.parametrize("full", [True, False], ids=["full", "baseline"])
+def test_desk_probabilities_do_not_depend_on_the_batch(full):
+    tc = train_config(parse_config(str(DESK_CFG)))
+    params = {name: p.detach()
+              for name, p in build_params(tc.model, seed=3, use_bidfl=full).items()}
+    images = np.random.default_rng(7).random((9, 3, 64, 64))
+
+    def probs(batch):
+        return model_forward(Tensor(batch), params, tc.model, full, full, tc.sigma_sq)[1].data
+    singles = np.stack([probs(image) for image in images])
+    for batch in range(1, 10):
+        assert probs(images[:batch]).tobytes() == singles[:batch].tobytes(), batch
+
+
 def test_predict_mask_binary():
     rng = np.random.default_rng(2)
     params = build_params(TINY, seed=3, use_bidfl=True)
