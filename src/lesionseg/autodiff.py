@@ -15,6 +15,12 @@ gradients. A second backward through a consumed node raises SpentGraphError.
 Each operation gives its forward value and one gradient rule per input to
 ``_node``; a result of inputs that need no gradient records no graph.
 
+Gradients are handed on without copies: a node keeps the first gradient it
+receives as given, and adds later ones out of place. So one array may be
+several nodes' gradient at once, and the rule that keeps that safe is: no
+gradient rule writes into the gradient it receives or into an array it has
+returned. Callers of ``gradients()`` read the arrays and do not write them.
+
 All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
 scratch on every forward pass.
 """
@@ -85,11 +91,7 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def _accum(self, g: np.ndarray) -> None:
-        # copy on first write: g may alias another node's gradient buffer
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into all ancestor tensors.
@@ -134,26 +136,14 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return _add(self, _neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return _add(_as_tensor(other), _neg(self))
 
     def __mul__(self, other):
         return _mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return _mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return _div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return _div(_as_tensor(other), self)
 
     def __neg__(self):
         return _neg(self)
@@ -161,7 +151,7 @@ class Tensor:
     def sum(self) -> "Tensor":
         """Full reduction to a scalar; the usual way to form a backward root."""
         return _node("sum", self.data.sum(), (self,),
-                     lambda g: np.broadcast_to(g, self.data.shape).copy())
+                     lambda g: np.broadcast_to(g, self.data.shape))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op})"
@@ -221,10 +211,6 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
 
 def _neg(a: Tensor) -> Tensor:
     return _node("neg", -a.data, (a,), lambda g: -g)
-
-
-def relu(x: Tensor) -> Tensor:
-    return _node("relu", np.maximum(x.data, 0.0), (x,), lambda g: g * (x.data > 0))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -619,40 +605,3 @@ def gradients(root: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in params.items()}
 
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(builder: Callable[[Tensor], Tensor], x: Tensor) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    builder must map a tensor to a scalar tensor and be free of side effects;
-    it is re-invoked for every perturbed evaluation. Relative error per
-    element is |a - n| / max(1e-8, |a| + |n|). A case whose analytic and
-    numeric gradients are both all zero returns inf: it would pass while
-    checking nothing.
-    """
-    eps = 1e-5  # central-difference step
-    base = np.array(x.data, dtype=np.float64)
-    probe = Tensor(base, requires_grad=True)
-    out = builder(probe)
-    out.backward()
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
-
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = builder(Tensor(base)).data.item()
-        flat[i] = orig - eps
-        lo = builder(Tensor(base)).data.item()
-        flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * eps)
-
-    if not analytic.any() and not numeric.any():
-        return float("inf")  # all-zero gradients: the case checks nothing
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float((np.abs(analytic - numeric) / denom).max())

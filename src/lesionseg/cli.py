@@ -109,6 +109,8 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
         config[key] = value
     for key, value in config.items():
         parse_value(key, value, _type(key))
+    if config_value(config, "image_size") < 1:
+        raise ConfigError(f"image_size: expected at least 1, got {config['image_size']!r}")
     return config
 
 

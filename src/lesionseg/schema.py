@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 
 from .backbone import BackboneConfig, ConfigError
@@ -37,18 +38,23 @@ def field_default(section: str, name: str):
 
 
 def parse_value(key: str, text: str, kind):
-    """`text` read as `kind`: bool, int, float, str or a tuple of one of them."""
+    """`text` read as `kind`: bool, int, float, str or a tuple of one of them.
+    A float must be finite."""
     args = typing.get_args(kind)
     try:
         if args:
             items = text.split(",")
             if args[-1] is not Ellipsis and len(items) != len(args):
                 raise ValueError(text)
-            return tuple(args[0](item) for item in items)
-        return _BOOLS[text.lower()] if kind is bool else kind(text)
+            value = tuple(args[0](item) for item in items)
+        else:
+            value = _BOOLS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
         name = kind.__name__ if isinstance(kind, type) else kind
         raise ConfigError(f"{key}: expected {name}, got {text!r}") from None
+    if float in (kind, *args) and not all(map(math.isfinite, value if args else (value,))):
+        raise ConfigError(f"{key}: expected finite numbers, got {text!r}")
+    return value
 
 
 def format_value(value, kind) -> str:

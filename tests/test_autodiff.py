@@ -14,17 +14,21 @@ from lesionseg.autodiff import (
     ShapeMismatchError,
     SpentGraphError,
     Tensor,
+    clip_min,
     concat_channels,
     _node,
     conv2d,
     conv_transpose2d,
     exp,
-    grad_check,
+    gradients,
+    log,
     max_pool2d,
-    relu,
     softmax_channels,
     windowed_variance,
 )
+from lesionseg.gradcheck import TINY_MODEL, grad_check
+from lesionseg.model import build_params, model_forward
+from lesionseg.training import one_hot_masks, weighted_ce_loss
 
 
 def naive_conv2d(x, kernel, bias, stride, pad, dil):
@@ -98,17 +102,17 @@ class TestTensor:
         assert_allclose((a - b).data, [-2.0, -3.0])
         assert_allclose((a * b).data, [3.0, 10.0])
         assert_allclose((a / b).data, [1 / 3, 0.4])
-        assert_allclose((2.0 * a - 1.0).data, [1.0, 3.0])
+        assert_allclose((a * 2.0 - 1.0).data, [1.0, 3.0])
 
     def test_square_gradient(self):
         x = Tensor(3.0, requires_grad=True)
         (x * x).backward()
         assert x.grad == pytest.approx(6.0)
 
-    def test_relu_chain_gradient(self):
+    def test_clip_min_chain_gradient(self):
         for v, want in [(1.0, 2.0), (-1.0, 0.0)]:
             x = Tensor(v, requires_grad=True)
-            relu(2.0 * x).backward()
+            clip_min(x * 2.0, 0.0).backward()
             got = 0.0 if x.grad is None else float(x.grad)
             assert got == pytest.approx(want)
 
@@ -124,7 +128,6 @@ class TestTensor:
         assert y.grad is None  # caller treats missing grad as zero
 
     def test_gradients_map_zeros_disconnected(self):
-        from lesionseg.autodiff import gradients
         x = Tensor([2.0, 1.0], requires_grad=True)
         y = Tensor([5.0], requires_grad=True)
         grads = gradients((x * x).sum(), {"x": x, "y": y})
@@ -139,7 +142,7 @@ class TestTensor:
         for _ in range(2):
             x = Tensor(data, requires_grad=True)
             p = make_params(k, padding=1)
-            (conv2d(relu(x), p) * conv2d(x, p)).sum().backward()
+            (conv2d(clip_min(x, 0.0), p) * conv2d(x, p)).sum().backward()
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0], grads[1])
 
@@ -149,7 +152,7 @@ class TestGraphRelease:
         x = Tensor([1.0, -2.0], requires_grad=True)
         c = Tensor([3.0, 4.0])
         mid = x * c
-        root = relu(mid + x).sum()
+        root = clip_min(mid + x, 0.0).sum()
         interior = [root, root._parents[0], mid]
         root.backward()
         assert_allclose(x.grad, [4.0, 0.0])
@@ -185,7 +188,7 @@ class TestNode:
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((2, 5, 5)))
         p = make_params(rng.standard_normal((3, 2, 3, 3)), padding=1)
-        outs = [x * x + 1.0, -x / 2.0, relu(x), exp(x), x.sum(), conv2d(x, p),
+        outs = [x * x + 1.0, -x / 2.0, clip_min(x, 0.0), exp(x), x.sum(), conv2d(x, p),
                 conv_transpose2d(x, make_params(rng.standard_normal((2, 1, 2, 2)),
                                                 [0.0], stride=2)),
                 concat_channels([x, x]), max_pool2d(x), softmax_channels(x),
@@ -301,9 +304,10 @@ class TestConv2d:
            st.integers(0, 3), st.integers(0, 2**32 - 1))
     @example(1, 0, 1, 1, (), 2, 3, 2, 0)   # the 1x1 contraction path, 3-d
     @example(1, 0, 1, 1, (2,), 3, 2, 0, 1)  # and 4-d
-    def test_relu_fold_matches_relu_node(self, s, pad, d, k, lead, ic, oc, extra, seed):
-        """conv2d(x, p, relu=True) equals relu(conv2d(x, p)) byte for byte, in
-        its value and in the input, kernel and bias gradients."""
+    def test_relu_fold_matches_clip_min_node(self, s, pad, d, k, lead, ic, oc, extra,
+                                             seed):
+        """conv2d(x, p, relu=True) equals clip_min(conv2d(x, p), 0.0) byte for
+        byte, in its value and in the input, kernel and bias gradients."""
         rng = np.random.default_rng(seed)
         size = d * (k - 1) + 1 + extra
         x0 = rng.standard_normal(lead + (ic, size, size))
@@ -313,7 +317,7 @@ class TestConv2d:
             x = Tensor(x0, requires_grad=True)
             p = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True),
                            stride=s, padding=pad, dilation=d)
-            out = conv2d(x, p, relu=True) if fold else relu(conv2d(x, p))
+            out = conv2d(x, p, relu=True) if fold else clip_min(conv2d(x, p), 0.0)
             g = np.random.default_rng(seed).standard_normal(out.shape)
             value = out.data.tobytes()
             (out * Tensor(g)).sum().backward()
@@ -502,18 +506,18 @@ class TestConcat:
 
 
 class TestPointwiseOps:
-    def test_relu_values(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
+    def test_clip_min_values(self):
+        out = clip_min(Tensor([-1.0, 0.0, 2.0]), 0.0)
         assert_allclose(out.data, [0.0, 0.0, 2.0])
 
-    def test_relu_idempotent(self):
+    def test_clip_min_idempotent(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 4, 4))
-        once = relu(Tensor(x)).data
-        twice = relu(relu(Tensor(x))).data
+        once = clip_min(Tensor(x), 0.0).data
+        twice = clip_min(clip_min(Tensor(x), 0.0), 0.0).data
         assert np.array_equal(once, twice)
         nonneg = np.abs(x)
-        assert np.array_equal(relu(Tensor(nonneg)).data, nonneg)
+        assert np.array_equal(clip_min(Tensor(nonneg), 0.0).data, nonneg)
 
     def test_max_pool_values(self):
         out = max_pool2d(Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -677,9 +681,9 @@ class TestGradChecks:
                          Tensor(self.rng.standard_normal((2, 4, 4))))
         assert err < 1e-8
 
-    def test_relu_and_pool(self):
+    def test_clip_min_and_pool(self):
         w = Tensor(self.rng.standard_normal((2, 3, 3)))
-        err = grad_check(lambda t: (max_pool2d(relu(t)) * w).sum(),
+        err = grad_check(lambda t: (max_pool2d(clip_min(t, 0.0)) * w).sum(),
                          Tensor(self.rng.standard_normal((2, 6, 6))))
         assert err < 1e-4
 
@@ -690,7 +694,6 @@ class TestGradChecks:
         target = Tensor(onehot)
 
         def ce(t):
-            from lesionseg.autodiff import clip_min, log
             probs = softmax_channels(t)
             return -(target * log(clip_min(probs, 1e-12))).sum()
 
@@ -702,3 +705,100 @@ class TestGradChecks:
         err = grad_check(lambda t: (t * 0.0).sum(),
                          Tensor(self.rng.standard_normal((2, 3))))
         assert err == float("inf")
+
+
+class Leaves:
+    """Seeded leaves that require gradients, remembered in creation order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.made = []
+
+    def __call__(self, *shape):
+        t = Tensor(self.rng.standard_normal(shape), requires_grad=True)
+        self.made.append(t)
+        return t
+
+    def conv(self, oc, ic, k, **geometry):
+        return ConvParams(self(oc, ic, k, k), self(oc), **geometry)
+
+
+# one graph per engine op, with every input of the op a leaf
+OP_GRAPHS = {
+    "add_broadcast": lambda t: t(2, 3, 4) + t(3, 1),
+    "sub": lambda t: t(2, 3) - t(2, 3),
+    "neg": lambda t: -t(2, 3),
+    "mul_broadcast": lambda t: t(2, 3) * t(3),
+    "div_broadcast": lambda t: t(2, 3) / exp(t(3)),
+    "exp_log": lambda t: log(exp(t(2, 3)) + 1.0),
+    "clip_min": lambda t: clip_min(t(2, 4, 4), 0.0),
+    "sum": lambda t: t(2, 3).sum() * t(2, 3),
+    "conv2d": lambda t: conv2d(t(3, 7, 7), t.conv(4, 3, 3, stride=2, padding=1)),
+    "conv2d_dilated_batched": lambda t: conv2d(t(2, 3, 7, 7),
+                                               t.conv(4, 3, 3, padding=2, dilation=2)),
+    "conv2d_relu": lambda t: conv2d(t(2, 3, 6, 6), t.conv(4, 3, 3, padding=1), relu=True),
+    "conv2d_pointwise_relu": lambda t: conv2d(t(2, 3, 5, 5), t.conv(4, 3, 1), relu=True),
+    "conv_transpose2d": lambda t: conv_transpose2d(
+        t(2, 3, 4, 4), ConvParams(t(3, 2, 4, 4), t(2), stride=2, padding=1)),
+    "concat_channels": lambda t: concat_channels([t(2, 4, 4), t(3, 4, 4)]),
+    "max_pool2d": lambda t: max_pool2d(t(2, 2, 5, 5)),
+    "softmax_channels": lambda t: softmax_channels(t(2, 3, 4, 4)),
+    "windowed_variance": lambda t: windowed_variance(t(2, 2, 6, 6), 3),
+}
+
+
+def freeze_gradients(monkeypatch):
+    """Make every gradient a node holds read-only as it is handed over, so a
+    rule that writes into the gradient it receives, or into an array it has
+    returned, raises."""
+    accum = Tensor._accum
+
+    def frozen(self, g):
+        accum(self, g)
+        self.grad = np.asarray(self.grad)
+        self.grad.setflags(write=False)
+    monkeypatch.setattr(Tensor, "_accum", frozen)
+
+
+class TestGradientHandOff:
+    @staticmethod
+    def op_gradients(build):
+        leaves = Leaves(0)
+        out = build(leaves)
+        (out * Tensor(leaves.rng.standard_normal(out.shape))).sum().backward()
+        return [t.grad.tobytes() for t in leaves.made]
+
+    @pytest.mark.parametrize("op", sorted(OP_GRAPHS))
+    def test_op_rules_do_not_write_gradients(self, op, monkeypatch):
+        want = self.op_gradients(OP_GRAPHS[op])
+        freeze_gradients(monkeypatch)
+        assert self.op_gradients(OP_GRAPHS[op]) == want
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "baseline"])
+    def test_model_rules_do_not_write_gradients(self, full, monkeypatch):
+        def model_gradients():
+            rng = np.random.default_rng(4)
+            params = build_params(TINY_MODEL, seed=0, use_bidfl=full)
+            image = Tensor(rng.random((2, 3, 8, 8)), requires_grad=True)
+            labels = one_hot_masks((rng.random((2, 1, 8, 8)) > 0.7).astype(float))
+            _, probs, _ = model_forward(image, params, TINY_MODEL, use_bidfl=full,
+                                        use_mcdf=full, sigma_sq=10.0)
+            grads = gradients(weighted_ce_loss(probs, labels, (0.8, 0.2)), params)
+            return image.grad.tobytes(), {k: g.tobytes() for k, g in grads.items()}
+
+        want = model_gradients()
+        freeze_gradients(monkeypatch)
+        assert model_gradients() == want
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_shared_gradient_survives_a_later_accumulation(self, shared_first):
+        # a and b receive the add's gradient as one array; b then takes a
+        # second gradient, which must not reach a
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 5.0], requires_grad=True)
+        w = np.array([2.0, 3.0])
+        shared = ((a + b) * Tensor(w)).sum()
+        again = (b * b).sum()
+        (shared + again if shared_first else again + shared).backward()
+        assert_allclose(a.grad, w)
+        assert_allclose(b.grad, w + 2.0 * b.data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lesionseg.autodiff import ConvParams, Tensor, concat_channels, conv2d, grad_check
+from lesionseg.autodiff import ConvParams, Tensor, concat_channels, conv2d
 from lesionseg.backbone import ConfigError
 from lesionseg.bidfl import (
     BidflParams,
@@ -15,6 +15,7 @@ from lesionseg.bidfl import (
     init_bidfl_params,
     per_level_maps,
 )
+from lesionseg.gradcheck import grad_check
 
 
 def build(rates, in_ch=4, bank_ch=4, seed=0, fusion="concat_all"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lesionseg import gradcheck
-from lesionseg.autodiff import Tensor, grad_check
+from lesionseg.autodiff import Tensor
 from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
 from lesionseg.data import load_dataset, split_dataset
@@ -141,6 +141,37 @@ class TestExitCodes:
                        "--set", setting)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, setting", [
+        ("gen-data", "synth.contrast=nan,0.5"),
+        ("gen-data", "synth.noise_std=nan"),
+        ("gen-data", "synth.noise_std=inf"),
+        ("train", "mcdf.sigma_sq=nan"),
+        ("train", "train.class_weights=nan,0.2"),
+    ])
+    def test_non_finite_float_names_key(self, workspace, tmp_path, capsys, command,
+                                        setting):
+        _, data, _ = workspace
+        args = ["--data", str(data)] if command == "train" else []
+        out = tmp_path / "x"
+        code = run_cli(command, "--out", str(out), *args, *sets([setting]))
+        assert code == 2
+        key, _, value = setting.partition("=")
+        assert capsys.readouterr().err == \
+            f"error: {key}: expected finite numbers, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "-4"])
+    def test_image_size_below_one_names_key(self, workspace, tmp_path, capsys, size):
+        _, data, run = workspace
+        out = tmp_path / "masks"
+        code = run_cli("predict", "--checkpoint", str(run / "checkpoint.ckpt"),
+                       "--input", str(data), "--out", str(out),
+                       "--set", f"image_size={size}")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: image_size: expected at least 1, got {size!r}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -478,7 +509,7 @@ def test_gradcheck_subcommand_default_tolerance(capsys):
 
 def test_gradcheck_subcommand_fails_a_case_that_checks_nothing(capsys, monkeypatch):
     def all_zero():
-        return grad_check(lambda t: (t * 0.0).sum(), Tensor(np.ones((2, 3))))
+        return gradcheck.grad_check(lambda t: (t * 0.0).sum(), Tensor(np.ones((2, 3))))
     monkeypatch.setattr(gradcheck, "_cases", lambda: [("all_zero", all_zero)])
     assert run_cli("gradcheck") == 2
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and no
-module reads the environment: every setting is a config key or an option."""
+"""Every module-level import in the package is used by its module, no
+module reads the environment (every setting is a config key or an option),
+and every public function of the engine serves the package, not only tests."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,26 @@ def test_detects_an_environment_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
+
+
+def unreferenced_functions(source: str, others: list[str]) -> list[str]:
+    """Public top-level functions of `source` that no module in `others` names."""
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for other in others for node in ast.walk(ast.parse(other))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name not in named]
+
+
+def test_detects_an_unreferenced_function():
+    source = "def f(): pass\ndef g(): pass\ndef _h(): pass\n"
+    assert unreferenced_functions(source, ["f()\n"]) == ["g"]
+    assert unreferenced_functions(source, ["import m\nm.g(f)\n"]) == []
+
+
+def test_every_engine_function_is_used_by_the_package():
+    # gradcheck's cases reach every op by design, so they do not count
+    others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+              if path.name not in ("autodiff.py", "gradcheck.py")]
+    assert unreferenced_functions((PACKAGE / "autodiff.py").read_text(), others) == []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lesionseg.autodiff import EvenWindowError, Tensor, grad_check, windowed_variance
+from lesionseg.autodiff import EvenWindowError, Tensor, windowed_variance
 from lesionseg.backbone import (
     BackboneConfig,
     BlockFeatures,
@@ -13,6 +13,7 @@ from lesionseg.backbone import (
     block_factors,
     init_params,
 )
+from lesionseg.gradcheck import grad_check
 from lesionseg.mcdf import (
     NonpositiveSigmaError,
     ScoreStack,
