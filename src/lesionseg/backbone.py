@@ -130,38 +130,42 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> None:
-    """Writes a temporary file that then replaces path, so a failed write
-    leaves no truncated checkpoint."""
-    echo_bytes = "".join(f"{k}={v}\n" for k, v in sorted(echo.items())).encode()
+def atomic_write(path, data: bytes) -> None:
+    """Writes a temporary file beside path, in a directory made on demand,
+    that then replaces path, so a failed write leaves no truncated file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(echo_bytes)))
-            fh.write(echo_bytes)
-            fh.write(struct.pack("<I", len(params)))
-            for name in sorted(params):
-                data = params[name].data
-                encoded = name.encode()
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", data.ndim))
-                for dim in data.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> None:
+    echo_bytes = "".join(f"{k}={v}\n" for k, v in sorted(echo.items())).encode()
+    blob = bytearray(CHECKPOINT_MAGIC)
+    blob += struct.pack("<I", CHECKPOINT_VERSION)
+    blob += struct.pack("<I", len(echo_bytes))
+    blob += echo_bytes
+    blob += struct.pack("<I", len(params))
+    for name in sorted(params):
+        data = params[name].data
+        encoded = name.encode()
+        blob += struct.pack("<H", len(encoded))
+        blob += encoded
+        blob += struct.pack("<B", data.ndim)
+        for dim in data.shape:
+            blob += struct.pack("<I", dim)
+        blob += np.ascontiguousarray(data, dtype="<f8").tobytes()
+    atomic_write(path, blob)
+
+
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
     """Parameters and echo of a checkpoint. Every read is length-checked, so
     a damaged file raises CheckpointError naming it."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     pos = 0
 
     def take(n: int, what: str) -> bytes:

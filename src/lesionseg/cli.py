@@ -13,7 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .backbone import CheckpointError, ConfigError, load_checkpoint, save_checkpoint
+from .backbone import CheckpointError, ConfigError, atomic_write, load_checkpoint, save_checkpoint
 from .data import (
     DatasetError,
     gen_synthetic,
@@ -109,8 +109,9 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
         config[key] = value
     for key, value in config.items():
         parse_value(key, value, _type(key))
-    if config_value(config, "image_size") < 1:
-        raise ConfigError(f"image_size: expected at least 1, got {config['image_size']!r}")
+    for key, least in (("image_size", 1), ("seed", 0)):
+        if config_value(config, key) < least:
+            raise ConfigError(f"{key}: expected at least {least}, got {config[key]!r}")
     return config
 
 
@@ -133,11 +134,11 @@ def train_config(cfg: dict[str, str], ablation: str | None = None) -> TrainConfi
 def cmd_gen_data(args) -> int:
     cfg = parse_config(args.config, args.set)
     samples = gen_synthetic(build("synth", KEYS, cfg, seed=config_value(cfg, "seed")))
+    train_split, val_split = split_dataset(samples, config_value(cfg, "train.split"),
+                                           config_value(cfg, "seed"))
     out = Path(args.out)
     for sample in samples:
         write_sample(sample, out, fmt=args.format)
-    train_split, val_split = split_dataset(samples, config_value(cfg, "train.split"),
-                                           config_value(cfg, "seed"))
     val_ids = {s.id for s in val_split}
     write_manifest(out, [(s.id, "val" if s.id in val_ids else "train")
                          for s in samples])
@@ -178,7 +179,6 @@ def cmd_train(args) -> int:
     train_set, _ = _load_split(args.data, cfg)
     state, records = train(train_set, tc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     echo = config_echo(tc.model, tc.use_bidfl, tc.use_mcdf, tc.sigma_sq, tc.seed)
     save_checkpoint(out / "checkpoint.ckpt", state.parameters, echo)
     write_loss_log(out / "loss_log.csv", records)
@@ -221,12 +221,11 @@ def cmd_eval(args) -> int:
         raise DatasetError(f"split {args.split!r} is empty")
     report, ids = evaluate(chosen, params, mc, use_bidfl, use_mcdf, sigma_sq)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", ids, report.entries)
     write_ja_histogram(out / "ja_histogram.csv", report.entries)
     label = f"bidfl={'on' if use_bidfl else 'off'},mcdf={'on' if use_mcdf else 'off'}"
     text = summary_table(report, label=label)
-    (out / "summary.txt").write_text(text)
+    atomic_write(out / "summary.txt", text.encode())
     print(text, end="")
     return 0
 
@@ -238,7 +237,6 @@ def cmd_predict(args) -> int:
     if not images:
         raise DatasetError(f"no images under {Path(args.input) / 'images'}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for stem, image in images:
         mask = predict_mask(image, params, mc, use_bidfl, use_mcdf, sigma_sq)
         write_mask(mask, out / f"{stem}.pgm")

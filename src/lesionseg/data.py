@@ -13,6 +13,7 @@ has no codec dependency; PNG works through Pillow when it is installed.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor
-from .backbone import ConfigError
+from .backbone import ConfigError, atomic_write
 
 
 class DatasetError(ValueError):
@@ -240,16 +241,23 @@ def gen_synthetic(config: SynthConfig) -> list[Sample]:
 # portable pixmap I/O (P6 images, P5 masks), PNG via Pillow when available
 # ---------------------------------------------------------------------------
 
-def _write_pnm(path, arr8: np.ndarray) -> None:
-    magic = "P6" if arr8.ndim == 3 else "P5"
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{arr8.shape[1]} {arr8.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr8.tobytes())
+def _write_8bit(path, arr: np.ndarray) -> None:
+    """(H, W, 3) or (H, W) values in [0, 1] to 8-bit PNG by suffix, else PPM/PGM."""
+    arr8 = (np.clip(arr, 0.0, 1.0) * 255.0).round().astype(np.uint8)
+    path = Path(path)
+    if path.suffix.lower() == ".png":
+        buf = io.BytesIO()
+        _pil().fromarray(arr8).save(buf, format="PNG")
+        data = buf.getvalue()
+    else:
+        magic = "P6" if arr8.ndim == 3 else "P5"
+        header = f"{magic}\n{arr8.shape[1]} {arr8.shape[0]}\n255\n".encode("ascii")
+        data = header + arr8.tobytes()
+    atomic_write(path, data)
 
 
 def _read_pnm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
         raise DatasetError(f"{path}: not a binary PGM/PPM file")
     tokens, pos = [], 2
@@ -283,36 +291,20 @@ def _read_pnm(path) -> np.ndarray:
     return data.reshape(height, width)
 
 
-def _to_uint8(arr: np.ndarray) -> np.ndarray:
-    return (np.clip(arr, 0.0, 1.0) * 255.0).round().astype(np.uint8)
-
-
 def write_image(image, path) -> None:
     """3-channel image in [0, 1] to an 8-bit PPM or PNG file."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    arr8 = _to_uint8(np.moveaxis(arr, 0, -1))
-    path = Path(path)
-    if path.suffix.lower() == ".png":
-        _pil().fromarray(arr8).save(path)
-    else:
-        _write_pnm(path, arr8)
+    _write_8bit(path, np.moveaxis(arr, 0, -1))
 
 
 def write_mask(mask, path) -> None:
     """Binary mask to a single-channel 8-bit file with values 0/255."""
     arr = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    arr8 = (arr.reshape(arr.shape[-2:]) > 0.5).astype(np.uint8) * 255
-    path = Path(path)
-    if path.suffix.lower() == ".png":
-        _pil().fromarray(arr8).save(path)
-    else:
-        _write_pnm(path, arr8)
+    _write_8bit(path, arr.reshape(arr.shape[-2:]) > 0.5)
 
 
 def write_sample(sample: Sample, root, fmt: str = "ppm") -> None:
     root = Path(root)
-    (root / "images").mkdir(parents=True, exist_ok=True)
-    (root / "masks").mkdir(parents=True, exist_ok=True)
     image_ext = "png" if fmt == "png" else "ppm"
     mask_ext = "png" if fmt == "png" else "pgm"
     write_image(sample.image, root / "images" / f"{sample.id}.{image_ext}")
@@ -347,13 +339,13 @@ def _fit_to_size(arr: np.ndarray, size: int, nearest: bool) -> np.ndarray:
 
 
 def _files(directory: Path) -> dict[str, Path]:
-    """The files directly under directory by stem (none if it is absent); two
-    files with one stem are a DatasetError naming both."""
+    """The files directly under directory by stem (none if it is absent). Dot-files
+    are skipped: a writer killed mid-write leaves one behind."""
     if not directory.is_dir():
         return {}
     files: dict[str, Path] = {}
     for p in sorted(directory.glob("*")):
-        if p.is_file():
+        if p.is_file() and not p.name.startswith("."):
             if p.stem in files:
                 raise DatasetError(f"{files[p.stem]} and {p} share the stem {p.stem!r}")
             files[p.stem] = p
@@ -403,7 +395,8 @@ def load_dataset(root, size: int = 64) -> list[Sample]:
 
 def write_manifest(root, assignments: list[tuple[str, str]]) -> None:
     lines = [f"{sample_id},{split}" for sample_id, split in assignments]
-    (Path(root) / "manifest.csv").write_text("id,split\n" + "\n".join(lines) + "\n")
+    text = "id,split\n" + "\n".join(lines) + "\n"
+    atomic_write(Path(root) / "manifest.csv", text.encode())
 
 
 def read_manifest(root) -> dict[str, str]:
@@ -422,7 +415,7 @@ def split_dataset(samples: list[Sample], train_fraction: float,
                   seed: int) -> tuple[list[Sample], list[Sample]]:
     """Seeded shuffle split; same seed, same membership, order preserved."""
     if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
+        raise ConfigError(f"train.split: expected a value in (0, 1), got {train_fraction}")
     order = np.random.default_rng(seed).permutation(len(samples))
     n_train = int(round(train_fraction * len(samples)))
     train_ids = {samples[i].id for i in order[:n_train]}

@@ -9,11 +9,13 @@ scores 1, and GM's missing terms default to 1.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor
+from .backbone import atomic_write
 
 
 class NonBinaryMaskError(ValueError):
@@ -98,12 +100,18 @@ def aggregate(entries: list[MetricEntry]) -> MetricReport:
                         mean=MetricEntry(*mean), std=MetricEntry(*std))
 
 
+def write_csv(path, rows: list[list]) -> None:
+    """rows as csv, with csv's \\r\\n line ends, written by atomic_write."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    atomic_write(path, text.getvalue().encode())
+
+
 def write_metrics_csv(path, ids: list[str], entries: list[MetricEntry]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *METRIC_NAMES])
-        for sample_id, e in zip(ids, entries):
-            writer.writerow([sample_id] + [f"{v:.17g}" for v in e.as_tuple()])
+    rows = [["id", *METRIC_NAMES]]
+    for sample_id, e in zip(ids, entries):
+        rows.append([sample_id] + [f"{v:.17g}" for v in e.as_tuple()])
+    write_csv(path, rows)
 
 
 def summary_table(report: MetricReport, label: str = "model") -> str:
@@ -121,8 +129,7 @@ def write_ja_histogram(path, entries: list[MetricEntry], bins: int = 10) -> None
     """Distribution of per-image JA over equal-width bins covering [0, 1]."""
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram([e.ja for e in entries], bins=edges)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for lo, hi, n in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([f"{lo:.1f}", f"{hi:.1f}", int(n)])
+    rows = [["bin_low", "bin_high", "count"]]
+    for lo, hi, n in zip(edges[:-1], edges[1:], counts):
+        rows.append([f"{lo:.1f}", f"{hi:.1f}", int(n)])
+    write_csv(path, rows)

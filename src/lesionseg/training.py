@@ -9,7 +9,6 @@ random rescale in [0.8, 1.2] with bilinear image / nearest mask resampling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .autodiff import ShapeMismatchError, Tensor, clip_min, gradients, log
 from .backbone import ConfigError
 from .data import Sample, resize_bilinear, resize_nearest
-from .metrics import MetricEntry, MetricReport, aggregate, compute_metrics, confusion
+from .metrics import MetricEntry, MetricReport, aggregate, compute_metrics, confusion, write_csv
 from .model import ModelConfig, model_forward, predict_mask
 
 
@@ -240,11 +239,10 @@ def train(dataset: list[Sample], config: TrainConfig) -> tuple[TrainState, list[
 
 
 def write_loss_log(path, records: list[LossRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "lr", "loss"])
-        for r in records:
-            writer.writerow([r.iteration, f"{r.lr:.17g}", f"{r.loss:.17g}"])
+    rows = [["iter", "lr", "loss"]]
+    for r in records:
+        rows.append([r.iteration, f"{r.lr:.17g}", f"{r.loss:.17g}"])
+    write_csv(path, rows)
 
 
 def evaluate(samples: list[Sample], params: dict[str, Tensor], config: ModelConfig,

@@ -1,3 +1,4 @@
+import contextlib
 import filecmp
 import os
 import shutil
@@ -12,7 +13,15 @@ from lesionseg import gradcheck
 from lesionseg.autodiff import Tensor
 from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
-from lesionseg.data import load_dataset, split_dataset
+from lesionseg.data import (
+    load_dataset,
+    split_dataset,
+    write_image,
+    write_manifest,
+    write_mask,
+)
+from lesionseg.metrics import MetricEntry, write_ja_histogram, write_metrics_csv
+from lesionseg.training import LossRecord, write_loss_log
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -159,6 +168,22 @@ class TestExitCodes:
         key, _, value = setting.partition("=")
         assert capsys.readouterr().err == \
             f"error: {key}: expected finite numbers, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("gen-data", "train.split=1.5", "train.split: expected a value in (0, 1), got 1.5"),
+        ("gen-data", "seed=-1", "seed: expected at least 0, got '-1'"),
+        ("train", "seed=-1", "seed: expected at least 0, got '-1'"),
+    ])
+    def test_out_of_range_setting_fails_before_any_write(self, workspace, tmp_path,
+                                                         capsys, command, setting,
+                                                         message):
+        _, data, _ = workspace
+        args = ["--data", str(data)] if command == "train" else []
+        out = tmp_path / "x"
+        code = run_cli(command, "--out", str(out), *args, *sets([setting]))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("size", ["0", "-4"])
@@ -498,6 +523,63 @@ class TestWorkflow:
         params, echo = load_checkpoint(out / "checkpoint.ckpt")
         assert echo["train.use_bidfl"] == "false"
         assert not any(name.startswith("bidfl.") for name in params)
+
+
+def _eval_summary(out, workspace):
+    _, data, run = workspace
+    run_cli("eval", "--checkpoint", str(run / "checkpoint.ckpt"), "--data", str(data),
+            "--out", str(out), *sets())
+
+
+# every file the package writes: writer -> (file name, a call that writes it under out)
+WRITERS = {
+    "checkpoint": ("model.ckpt", lambda out, ws: save_checkpoint(
+        out / "model.ckpt", {"w": Tensor(np.ones(3))}, {"k": "v"})),
+    "loss log": ("loss_log.csv", lambda out, ws: write_loss_log(
+        out / "loss_log.csv", [LossRecord(1, 0.1, 0.5)])),
+    "metrics csv": ("metrics.csv", lambda out, ws: write_metrics_csv(
+        out / "metrics.csv", ["a"], [MetricEntry(1.0, 1.0, 1.0, 1.0)])),
+    "histogram": ("ja_histogram.csv", lambda out, ws: write_ja_histogram(
+        out / "ja_histogram.csv", [MetricEntry(0.5, 0.5, 1.0, 1.0)])),
+    "manifest": ("manifest.csv", lambda out, ws: write_manifest(out, [("a", "train")])),
+    "image": ("a.ppm", lambda out, ws: write_image(np.full((3, 4, 4), 0.5), out / "a.ppm")),
+    "mask": ("a.pgm", lambda out, ws: write_mask(np.ones((1, 4, 4)), out / "a.pgm")),
+    "summary": ("summary.txt", _eval_summary),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_no_partial_file(workspace, tmp_path, monkeypatch, writer,
+                                             existing):
+    name, write = WRITERS[writer]
+    target = tmp_path / name
+    if existing:
+        target.write_bytes(b"old")
+    real_write_bytes = Path.write_bytes
+    failed = []
+
+    def half_then_fail(self, data):
+        if not self.name.startswith(f".{name}."):
+            return real_write_bytes(self, data)
+        real_write_bytes(self, bytes(data)[:len(data) // 2])
+        failed.append(self.name)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with contextlib.suppress(OSError):
+        write(tmp_path, workspace)
+    assert failed, f"{name} was not written through a temporary file"
+    if existing:
+        assert target.read_bytes() == b"old"
+    else:
+        assert not target.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+    monkeypatch.undo()
+    write(tmp_path, workspace)
+    assert target.read_bytes() not in (b"", b"old")
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_gradcheck_subcommand_default_tolerance(capsys):

@@ -12,6 +12,7 @@ from lesionseg.data import (
     SynthConfig,
     gen_synthetic,
     load_dataset,
+    load_images,
     read_manifest,
     resize_bilinear,
     resize_nearest,
@@ -185,13 +186,31 @@ class TestLoadDataset:
         (tmp_path / "images").mkdir()
         (tmp_path / "masks").mkdir()
         write_image(np.zeros((3, 4, 4)), tmp_path / "images" / "a.ppm")
-        from lesionseg.data import _write_pnm
         levels = np.array([[0, 100, 127, 128], [129, 200, 255, 0],
                            [0, 0, 0, 0], [255, 255, 255, 255]], dtype=np.uint8)
-        _write_pnm(tmp_path / "masks" / "a.pgm", levels)
+        (tmp_path / "masks" / "a.pgm").write_bytes(b"P5\n4 4\n255\n" + levels.tobytes())
         sample = load_dataset(tmp_path, size=4)[0]
         want = (levels >= 128).astype(float)
         assert np.array_equal(sample.mask.data[0], want)
+
+    def test_dot_files_are_not_samples(self, tmp_path):
+        # a writer killed between its write and its rename leaves .<name>.<pid>.tmp
+        for s in gen_synthetic(SynthConfig(count=3, size=16, seed=2)):
+            write_sample(s, tmp_path)
+        want = load_dataset(tmp_path, size=16)
+        want_images = load_images(tmp_path, size=16)
+        for sub in ("images", "masks"):
+            (tmp_path / sub / ".synth0000.ppm.999.tmp").write_bytes(b"P6\n")
+            (tmp_path / sub / ".extra.pgm").write_bytes(b"")
+        got = load_dataset(tmp_path, size=16)
+        assert [s.id for s in got] == [s.id for s in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.image.data, b.image.data)
+            assert np.array_equal(a.mask.data, b.mask.data)
+        got_images = load_images(tmp_path, size=16)
+        assert [stem for stem, _ in got_images] == [stem for stem, _ in want_images]
+        for (_, a), (_, b) in zip(got_images, want_images):
+            assert np.array_equal(a.data, b.data)
 
     def test_rectangular_input_padded_square(self, tmp_path):
         (tmp_path / "images").mkdir()

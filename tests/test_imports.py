@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, no
 module reads the environment (every setting is a config key or an option),
-and every public function of the engine serves the package, not only tests."""
+every public function of the engine serves the package, not only tests,
+and every file the package writes goes through backbone.atomic_write."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,66 @@ def test_every_engine_function_is_used_by_the_package():
     others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
               if path.name not in ("autodiff.py", "gradcheck.py")]
     assert unreferenced_functions((PACKAGE / "autodiff.py").read_text(), others) == []
+
+
+def _called(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls outside a function named atomic_write that write a file: open
+    with a w, a, x or + mode, .write_text, .write_bytes, and a .save whose
+    first argument is not a name bound to an io.BytesIO."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_write"
+              for node in ast.walk(fn)}
+    buffers = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and _called(node.value) == "BytesIO"
+               for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        name = _called(node)
+        if name == "open":
+            # builtin open(file, mode); Path.open(mode)
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[at:at + 1]
+            if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value) & set("wax+") for m in modes):
+                found.append(f"line {node.lineno}: open for writing")
+        elif name in ("write_text", "write_bytes"):
+            found.append(f"line {node.lineno}: .{name}")
+        elif name == "save" and not (node.args and isinstance(node.args[0], ast.Name)
+                                     and node.args[0].id in buffers):
+            found.append(f"line {node.lineno}: .save")
+    return found
+
+
+def test_detects_a_file_write():
+    assert file_writes("with open(p, 'w', newline='') as fh:\n    pass\n") == \
+        ["line 1: open for writing"]
+    assert file_writes("open(p, mode='ab')\np.open('r+')\n") == \
+        ["line 1: open for writing", "line 2: open for writing"]
+    assert file_writes("p.write_text(t)\np.write_bytes(b)\n") == \
+        ["line 1: .write_text", "line 2: .write_bytes"]
+    assert file_writes("image.save(path)\n") == ["line 1: .save"]
+    assert file_writes("fh = io.BytesIO()\nimage.save(fh, format='PNG')\n") == []
+    assert file_writes("open(p, 'rb')\nopen(p)\nImage.open(p)\np.read_bytes()\n") == []
+    assert file_writes("def atomic_write(path, data):\n    path.write_bytes(data)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_files_are_written_only_by_atomic_write(path):
+    assert file_writes(path.read_text()) == []
+
+
+def test_atomic_write_is_defined_once():
+    defined = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "atomic_write"]
+    assert defined == ["backbone.py"]
