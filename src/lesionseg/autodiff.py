@@ -269,11 +269,29 @@ def _conv_out_dim(n: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
+def _zero_pad(x: np.ndarray, r: int) -> np.ndarray:
+    """x with r zeros around its trailing two axes."""
+    h, w = x.shape[-2:]
+    out = np.zeros((*x.shape[:-2], h + 2 * r, w + 2 * r))
+    out[..., r:r + h, r:r + w] = x
+    return out
+
+
+def _edge_pad(out: np.ndarray, x: np.ndarray, r: int) -> None:
+    """Fill out with x and r replicated edge cells around its trailing two axes."""
+    h, w = x.shape[-2:]
+    out[..., r:r + h, r:r + w] = x
+    out[..., :r, r:r + w] = x[..., :1, :]
+    out[..., r + h:, r:r + w] = x[..., -1:, :]
+    out[..., :, :r] = out[..., :, r:r + 1]
+    out[..., :, r + w:] = out[..., :, r + w - 1:r + w]
+
+
 def _conv_windows(x4: np.ndarray, kh: int, kw: int, stride: int, pad: int,
                   dil: int, out_hw: tuple[int, int]) -> np.ndarray:
     """Strided+dilated sliding windows of shape (N,C,outH,outW,kh,kw)."""
     if pad:
-        x4 = np.pad(x4, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        x4 = _zero_pad(x4, pad)
     eh, ew = dil * (kh - 1) + 1, dil * (kw - 1) + 1
     win = sliding_window_view(x4, (eh, ew), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, ::dil, ::dil]
@@ -319,11 +337,31 @@ def _convt_tap_ranges(tap: int, in_n: int, out_n: int, stride: int, pad: int,
 
 def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
                    dil: int, out_hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of the windowed correlation: one contraction, then per-tap adds."""
+    """Adjoint of the windowed correlation: one contraction, then per-phase adds.
+
+    Undilated and strided, tap (ky, kx) writes output phase (ky % s, kx % s)
+    shifted by (ky // s, kx // s) strides, so one add per shift moves s x s
+    taps at once; each output element still takes its taps in row-major tap
+    order, one add each onto +0.0, so the bytes match per-tap adds.
+    """
     n, _, ih, iw = y4.shape
     _, b, kh, kw = kernel.shape
     oh, ow = out_hw
     taps = np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
+    if stride > 1 and dil == 1:
+        s = stride
+        qh, qw = -(-kh // s), -(-kw // s)
+        # padded output row Y = y + pad sits at phase Y % s, phase row Y // s
+        ph = max(ih + qh - 1, -(-(oh + pad) // s))
+        pw = max(iw + qw - 1, -(-(ow + pad) // s))
+        phases = np.zeros((n, b, s, s, ph, pw))
+        for qy in range(qh):
+            for qx in range(qw):
+                block = taps[:, :, qy * s:qy * s + s, qx * s:qx * s + s]
+                phases[:, :, :block.shape[2], :block.shape[3],
+                       qy:qy + ih, qx:qx + iw] += block
+        padded = phases.transpose(0, 1, 4, 2, 5, 3).reshape(n, b, ph * s, pw * s)
+        return padded[:, :, pad:pad + oh, pad:pad + ow]
     out = np.zeros((n, b, oh, ow))
     for ky in range(kh):
         i0, i1, rs = _convt_tap_ranges(ky, ih, oh, stride, pad, dil)
@@ -570,7 +608,7 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
     buf[..., 0, :] = 0.0
     buf[..., :, 0] = 0.0
     xp, xsq = buf[..., 1:, 1:]
-    xp[...] = np.pad(x.data, [(0, 0)] * len(lead) + [(r, r), (r, r)], mode="edge")
+    _edge_pad(xp, x.data, r)
     np.multiply(xp, xp, out=xsq)
     sums = _box_sums(buf, window)
     m = sums[0] / (window * window)

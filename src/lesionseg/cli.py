@@ -109,9 +109,13 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
         config[key] = value
     for key, value in config.items():
         parse_value(key, value, _type(key))
-    for key, least in (("image_size", 1), ("seed", 0)):
+    for key, least in (("image_size", 1), ("seed", 0), ("synth.count", 1),
+                       ("synth.size", 8), ("train.batch_size", 1)):
         if config_value(config, key) < least:
             raise ConfigError(f"{key}: expected at least {least}, got {config[key]!r}")
+    if not 0.0 <= config_value(config, "train.momentum") < 1.0:
+        raise ConfigError(
+            f"train.momentum: expected a value in [0, 1), got {config['train.momentum']!r}")
     return config
 
 

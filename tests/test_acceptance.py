@@ -47,6 +47,8 @@ BENCH_SEED = 5
 BENCH_LR = 0.12
 BENCH_ITERS = 1000
 
+pytestmark = pytest.mark.acceptance
+
 CELLS = {"baseline": (False, False), "bidfl": (True, False),
          "mcdf": (False, True), "full": (True, True)}
 

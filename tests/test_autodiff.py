@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
@@ -25,6 +25,9 @@ from lesionseg.autodiff import (
     max_pool2d,
     softmax_channels,
     windowed_variance,
+    _convt_scatter,
+    _edge_pad,
+    _zero_pad,
 )
 from lesionseg.gradcheck import TINY_MODEL, grad_check
 from lesionseg.model import build_params, model_forward
@@ -477,6 +480,129 @@ class TestConvTranspose2d:
         with pytest.raises(ShapeMismatchError):
             conv_transpose2d(Tensor(np.zeros((3, 4, 4))),
                              make_params(np.zeros((2, 1, 2, 2)), [0.0], stride=2))
+
+
+def per_tap_scatter(y4, kernel, stride, pad, dil, out_hw):
+    """Reference transposed correlation: one contraction, then one shifted,
+    range-clipped add per kernel tap in row-major tap order."""
+    n, _, ih, iw = y4.shape
+    _, b, kh, kw = kernel.shape
+    oh, ow = out_hw
+
+    def tap_range(tap, in_n, out_n):
+        r0 = tap * dil - pad
+        i0 = max(0, -(r0 // stride))
+        return i0, min(in_n, (out_n - 1 - r0) // stride + 1), r0 + stride * i0
+
+    taps = np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
+    out = np.zeros((n, b, oh, ow))
+    for ky in range(kh):
+        i0, i1, rs = tap_range(ky, ih, oh)
+        for kx in range(kw):
+            j0, j1, cs = tap_range(kx, iw, ow)
+            if i1 > i0 and j1 > j0:
+                out[:, :, rs:rs + stride * (i1 - i0):stride,
+                    cs:cs + stride * (j1 - j0):stride] += taps[:, :, ky, kx, i0:i1, j0:j1]
+    return out
+
+
+def signed_zeros(rng, shape):
+    """Standard normals with about a fifth of the entries +0.0 and a fifth -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    x[pick < 0.2] = 0.0
+    x[pick > 0.8] = -0.0
+    return x
+
+
+class TestConvtScatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 8),
+           st.tuples(st.integers(1, 8), st.integers(1, 8)), st.integers(1, 4),
+           st.integers(0, 7), st.integers(1, 3),
+           st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 2**32 - 1))
+    @example(1, 2, 2, (4, 4), 2, 1, 1, (32, 32), (0, 0), 0)   # the desk heads
+    @example(4, 2, 2, (8, 8), 4, 2, 1, (16, 16), (0, 0), 1)
+    @example(2, 3, 2, (5, 3), 2, 2, 1, (3, 4), (1, 1), 2)     # k not a multiple of s
+    def test_matches_per_tap_adds(self, n, a, b, k, s, pad, d, in_hw, extra, seed):
+        """Byte for byte, including signed zeros and a conv2d input rule's
+        output that runs up to stride - 1 cells past the transposed extent."""
+        kh, kw = k
+        pad = min(pad, max(kh, kw) - 1)
+        out_hw = tuple((i - 1) * s + d * (kk - 1) + 1 - 2 * pad + e % s
+                       for i, kk, e in zip(in_hw, k, extra))
+        assume(min(out_hw) >= 1)
+        rng = np.random.default_rng(seed)
+        y4 = signed_zeros(rng, (n, a, *in_hw))
+        kernel = signed_zeros(rng, (a, b, kh, kw))
+        got = _convt_scatter(y4, kernel, s, pad, d, out_hw)
+        want = per_tap_scatter(y4, kernel, s, pad, d, out_hw)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def row_major_conv_transpose2d(x, kernel, bias, factor, g):
+    """A score head's conv_transpose2d (stride = factor, padding = factor // 2)
+    from per-tap adds and row-major im2col columns of g: the value and the
+    input, kernel and bias gradients, each in that formula's operation order."""
+    n, a, ih, iw = x.shape
+    _, b, kh, kw = kernel.shape
+    pad = factor // 2
+    out = per_tap_scatter(x, kernel, factor, pad, 1, g.shape[-2:])
+    out += bias[None, :, None, None]
+    gp = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(gp, (kh, kw), axis=(2, 3))[:, :, ::factor, ::factor][:, :, :ih, :iw]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ih * iw, b * kh * kw)
+    gx = np.moveaxis((cols @ kernel.reshape(a, -1).T).reshape(n, ih, iw, a), 3, 1)
+    gk = (np.moveaxis(x, 1, 0).reshape(a, -1) @ cols).reshape(kernel.shape)
+    return out, gx, gk, g.sum(axis=(0, 2, 3))
+
+
+class TestConvTranspose2dBytes:
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("size, factor", [(32, 2), (16, 4)])
+    def test_desk_head_matches_per_tap_adds(self, size, factor, n):
+        """The desk score heads' upsampling (2 classes, factors 2 and 4) keeps
+        the bytes of per-tap adds and row-major gradient columns."""
+        rng = np.random.default_rng(size * n + factor)
+        x0 = rng.standard_normal((n, 2, size, size))
+        k0 = rng.standard_normal((2, 2, 2 * factor, 2 * factor))
+        b0 = rng.standard_normal(2)
+        x = Tensor(x0, requires_grad=True)
+        p = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True),
+                       stride=factor, padding=factor // 2)
+        out = conv_transpose2d(x, p)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        want = row_major_conv_transpose2d(x0, k0, b0, factor, g)
+        got = (out.data, x.grad, p.kernel.grad, p.bias.grad)
+        assert [w.shape for w in want] == [a.shape for a in got]
+        assert [np.ascontiguousarray(a).tobytes() for a in got] == \
+            [np.ascontiguousarray(w).tobytes() for w in want]
+
+
+# (leading axes, height, width, padding): 3-d to 5-d maps, 1-pixel maps, and
+# padding as wide as or wider than the map
+PAD_CASES = [((2,), 5, 7, 2), ((1,), 1, 1, 3), ((3, 2), 4, 4, 1), ((2, 3), 2, 6, 4),
+             ((2, 1, 3), 3, 1, 3), ((1, 2, 2), 6, 5, 0), ((4,), 1, 9, 1)]
+
+
+class TestPadding:
+    @pytest.mark.parametrize("lead, h, w, r", PAD_CASES)
+    def test_zero_pad_matches_np_pad(self, lead, h, w, r):
+        x = signed_zeros(np.random.default_rng(h * w + r), (*lead, h, w))
+        want = np.pad(x, [(0, 0)] * len(lead) + [(r, r), (r, r)])
+        got = _zero_pad(x, r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead, h, w, r", PAD_CASES)
+    def test_edge_pad_matches_np_pad(self, lead, h, w, r):
+        x = signed_zeros(np.random.default_rng(h * w + r), (*lead, h, w))
+        want = np.pad(x, [(0, 0)] * len(lead) + [(r, r), (r, r)], mode="edge")
+        got = np.full(want.shape, np.nan)
+        _edge_pad(got, x, r)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConcat:

@@ -174,6 +174,13 @@ class TestExitCodes:
         ("gen-data", "train.split=1.5", "train.split: expected a value in (0, 1), got 1.5"),
         ("gen-data", "seed=-1", "seed: expected at least 0, got '-1'"),
         ("train", "seed=-1", "seed: expected at least 0, got '-1'"),
+        ("gen-data", "synth.count=0", "synth.count: expected at least 1, got '0'"),
+        ("gen-data", "synth.size=7", "synth.size: expected at least 8, got '7'"),
+        ("train", "train.batch_size=0", "train.batch_size: expected at least 1, got '0'"),
+        ("train", "train.momentum=1.0",
+         "train.momentum: expected a value in [0, 1), got '1.0'"),
+        ("train", "train.momentum=-0.5",
+         "train.momentum: expected a value in [0, 1), got '-0.5'"),
     ])
     def test_out_of_range_setting_fails_before_any_write(self, workspace, tmp_path,
                                                          capsys, command, setting,
