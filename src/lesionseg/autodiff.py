@@ -20,6 +20,9 @@ receives as given, and adds later ones out of place. So one array may be
 several nodes' gradient at once, and the rule that keeps that safe is: no
 gradient rule writes into the gradient it receives or into an array it has
 returned. Callers of ``gradients()`` read the arrays and do not write them.
+Rules also read their inputs' arrays when backward runs (conv2d's kernel rule
+rebuilds its im2col columns from the input), so nothing may write into an
+array that a recorded node has read.
 
 All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
 scratch on every forward pass.
@@ -211,11 +214,6 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
 
 def _neg(a: Tensor) -> Tensor:
     return _node("neg", -a.data, (a,), lambda g: -g)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return _node("exp", y, (x,), lambda g: g * y)
 
 
 def log(x: Tensor) -> Tensor:
@@ -438,15 +436,16 @@ def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
             lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None],
             relu)
     # channel-major columns: the product comes out (O,N,outH,outW), already in
-    # output order at N = 1, and the kernel rule reuses the forward columns
-    cols = _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
-    out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow), 0, 1)
-    if not params.kernel.requires_grad:
-        cols = None  # no kernel rule: free them before the output is copied
+    # output order at N = 1; the kernel rule rebuilds them from x4 rather
+    # than keep a kh*kw-fold copy of the input alive until backward
+    def cols():
+        return _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
+
+    out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols()).reshape(oc, n, oh, ow), 0, 1)
     return _conv_node(
         "conv2d", x, params, out4,
         lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
-        lambda g4: _kernel_grad(g4, cols.T, kernel.shape), relu)
+        lambda g4: _kernel_grad(g4, cols().T, kernel.shape), relu)
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -631,6 +630,26 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
         return 2.0 * (x.data * a_g - a_gm)
 
     return _node("windowed_variance", np.where(gate, raw, 0.0), (x,), vjp)
+
+
+def gaussian_weighted_sum(variances: Sequence[Tensor], maps: Sequence[Tensor],
+                          sigma_sq: float, stop_grad: bool = False) -> Tensor:
+    """sum_k exp(-v_k / sigma_sq) * S_k, added left to right, as one node.
+
+    It keeps only the K weights. Map k's gradient is g * alpha_k and
+    variance k's -(((g * S_k) * alpha_k) / sigma_sq), the bytes that separate
+    neg, div, exp, mul and add nodes give; stop_grad leaves the variances out.
+    """
+    alphas = [np.exp(-v.data / sigma_sq) for v in variances]
+    fused = alphas[0] * maps[0].data
+    for alpha, score in zip(alphas[1:], maps[1:]):
+        fused += alpha * score.data
+    rules = [lambda g, a=a: g * a for a in alphas]
+    if not stop_grad:
+        rules += [lambda g, a=a, s=s.data: -(((g * s) * a) / sigma_sq)
+                  for a, s in zip(alphas, maps)]
+    parents = tuple(maps) if stop_grad else (*maps, *variances)
+    return _node("gaussian_weighted_sum", fused, parents, *rules)
 
 
 def gradients(root: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

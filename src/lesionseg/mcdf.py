@@ -19,7 +19,7 @@ from .autodiff import (
     Tensor,
     conv2d,
     conv_transpose2d,
-    exp,
+    gaussian_weighted_sum,
     windowed_variance,
 )
 from .backbone import BlockFeatures, ConfigError, add_conv, conv_params, he_kernel
@@ -67,15 +67,9 @@ def fuse_scores(stack: ScoreStack, stop_grad_alpha: bool = False) -> Tensor:
     them for ablation. The variance feeds the Gaussian directly (no sqrt on
     the path) so constant regions have clean gradients.
     """
-    fused = None
-    for score, window in zip(stack.maps, stack.windows):
-        var = windowed_variance(score, window)
-        alpha = exp(-var / stack.sigma_sq)
-        if stop_grad_alpha:
-            alpha = alpha.detach()
-        term = alpha * score
-        fused = term if fused is None else fused + term
-    return fused
+    variances = [windowed_variance(score, window)
+                 for score, window in zip(stack.maps, stack.windows)]
+    return gaussian_weighted_sum(variances, stack.maps, stack.sigma_sq, stop_grad_alpha)
 
 
 def sum_fuse(stack: ScoreStack) -> Tensor:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lesionseg.autodiff import EvenWindowError, Tensor, windowed_variance
+from lesionseg.autodiff import (
+    EvenWindowError,
+    Tensor,
+    gaussian_weighted_sum,
+    windowed_variance,
+)
 from lesionseg.backbone import (
     BackboneConfig,
     BlockFeatures,
@@ -276,6 +281,95 @@ class TestFuseScores:
         a = fuse_scores(ScoreStack([t], (3,), 10.0), stop_grad_alpha=False).data
         b = fuse_scores(ScoreStack([t], (3,), 10.0), stop_grad_alpha=True).data
         assert np.array_equal(a, b)
+
+
+
+def gaussian_fusion_reference(variances, maps, g, sigma_sq):
+    """The fusion as separate numpy ops in the order the engine once recorded
+    them, negate, divide, exp, multiply and a left-fold add, with each op's
+    gradient rule: returns the value, the maps' gradients and the
+    variances' gradients."""
+    alphas = [np.exp(np.negative(v) / sigma_sq) for v in variances]
+    fused = alphas[0] * maps[0]
+    for alpha, score in zip(alphas[1:], maps[1:]):
+        fused = fused + alpha * score
+    map_grads = [g * alpha for alpha in alphas]
+    var_grads = [np.negative(((g * score) * alpha) / sigma_sq)
+                 for alpha, score in zip(alphas, maps)]
+    return fused, map_grads, var_grads
+
+
+def signed_zero_maps(rng, count, shape):
+    """Normals at a few scales, each map with a constant block (a zero
+    variance, so a weight of exactly 1) and about a fifth of its entries
+    +0.0 and a fifth -0.0."""
+    maps = []
+    for _ in range(count):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-2, 3)
+        x[..., :2, :2] = x[..., :1, :1]
+        pick = rng.random(shape)
+        x[pick < 0.2] = 0.0
+        x[pick > 0.8] = -0.0
+        maps.append(x)
+    return maps
+
+
+fusion_cases = dict(count=st.integers(1, 10), lead=st.sampled_from([(1,), (2,), (2, 2)]),
+                    hw=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+                    sigma_sq=st.sampled_from([1.0, 0.3, 10.0, 7.5e-3]),
+                    stop_grad=st.booleans(), seed=seeds)
+
+
+class TestFusionBytes:
+    """fuse_scores and its engine op against the numpy reference, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**fusion_cases)
+    @example(count=10, lead=(2,), hw=(8, 8), sigma_sq=1.0, stop_grad=False, seed=0)
+    def test_fuse_scores_matches_reference(self, count, lead, hw, sigma_sq, stop_grad,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        data = signed_zero_maps(rng, count, lead + hw)
+        windows = tuple(int(w) for w in rng.choice(range(1, min(hw) + 1, 2), count))
+        g = signed_zero_maps(rng, 1, lead + hw)[0]
+        maps = [Tensor(m, requires_grad=True) for m in data]
+        out = fuse_scores(ScoreStack(maps, windows, sigma_sq), stop_grad)
+        (out * Tensor(g)).sum().backward()
+
+        variances = [windowed_variance(Tensor(m), l).data for m, l in zip(data, windows)]
+        want, map_grads, var_grads = gaussian_fusion_reference(variances, data, g, sigma_sq)
+        assert out.data.tobytes() == want.tobytes()
+        for k, (m, l) in enumerate(zip(data, windows)):
+            want_grad = map_grads[k]
+            if not stop_grad and l > 1:
+                # windowed_variance's own rule, handed variance k's gradient
+                probe = Tensor(m, requires_grad=True)
+                (windowed_variance(probe, l) * Tensor(var_grads[k])).sum().backward()
+                want_grad = want_grad + probe.grad
+            assert maps[k].grad.tobytes() == want_grad.tobytes(), f"map {k}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(**fusion_cases)
+    def test_op_matches_reference(self, count, lead, hw, sigma_sq, stop_grad, seed):
+        """Variances as leaves: each gets exactly the reference's gradient, or
+        none under stop_grad."""
+        rng = np.random.default_rng(seed)
+        shape = lead + hw
+        data = signed_zero_maps(rng, count, shape)
+        var_data = [np.abs(v) for v in signed_zero_maps(rng, count, shape)]
+        g = signed_zero_maps(rng, 1, shape)[0]
+        maps = [Tensor(m, requires_grad=True) for m in data]
+        variances = [Tensor(v, requires_grad=True) for v in var_data]
+        out = gaussian_weighted_sum(variances, maps, sigma_sq, stop_grad)
+        (out * Tensor(g)).sum().backward()
+        want, map_grads, var_grads = gaussian_fusion_reference(var_data, data, g, sigma_sq)
+        assert out.data.tobytes() == want.tobytes()
+        assert [m.grad.tobytes() for m in maps] == [w.tobytes() for w in map_grads]
+        if stop_grad:
+            assert all(v.grad is None for v in variances)
+        else:
+            assert [v.grad.tobytes() for v in variances] == \
+                [w.tobytes() for w in var_grads]
 
 
 class TestSumFuse:

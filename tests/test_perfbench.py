@@ -25,6 +25,7 @@ def samples():
     return gen_synthetic(replace(pipeline.synth_config(1), count=6))
 
 
+@pytest.mark.wallclock
 @pytest.mark.parametrize("full", [True, False], ids=["train_full", "train_baseline"])
 def test_traced_steps_match_the_program(samples, full):
     cfg = replace(pipeline.train_config(1, full), max_iter=2)
