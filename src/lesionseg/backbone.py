@@ -134,13 +134,17 @@ def atomic_write(path, data: bytes) -> None:
     """Writes a temporary file beside path, in a directory made on demand,
     that then replaces path, so a failed write leaves no truncated file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the directory is missing
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> None:

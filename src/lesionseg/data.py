@@ -38,8 +38,8 @@ class Sample:
         if self.image.shape[-2:] != self.mask.shape[-2:]:
             raise ShapeMismatchError(
                 f"image {self.image.shape} / mask {self.mask.shape} spatial mismatch")
-        vals = np.unique(self.mask.data)
-        if not np.isin(vals, (0.0, 1.0)).all():
+        m = self.mask.data
+        if not ((m == 0) | (m == 1)).all():
             raise DatasetError(f"mask of sample {self.id!r} is not binary")
 
 
@@ -71,7 +71,12 @@ class SynthConfig:
 # ---------------------------------------------------------------------------
 
 def resize_bilinear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Channel-first bilinear resize; identity when sizes already match."""
+    """Channel-first bilinear resize; identity when sizes already match.
+
+    Separable: each source row is interpolated along x once, then pairs of
+    those rows are blended along y, which forms every output value from the
+    same two products and one sum as the 2-d formula. The result is
+    C-ordered."""
     c, h, w = arr.shape
     if (h, w) == (out_h, out_w):
         return arr.copy()
@@ -81,11 +86,28 @@ def resize_bilinear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
-    top = arr[:, y0][:, :, x0] * (1 - wx) + arr[:, y0][:, :, x1] * wx
-    bot = arr[:, y1][:, :, x0] * (1 - wx) + arr[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)
+    rows = arr[:, :, x0] * (1 - wx) + arr[:, :, x1] * wx
+    return rows[:, y0] * (1 - wy) + rows[:, y1] * wy
+
+
+def pad2d(arr: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
+          edge: bool) -> np.ndarray:
+    """arr grown by rows = (top, bottom) and cols = (left, right) cells on its
+    last two axes, filled with copies of the nearest edge cell when edge is
+    set and with zeros otherwise: np.pad's edge and constant modes."""
+    (top, bottom), (left, right) = rows, cols
+    h, w = arr.shape[-2:]
+    fill = np.empty if edge else np.zeros
+    out = fill((*arr.shape[:-2], top + h + bottom, left + w + right), arr.dtype)
+    out[..., top:top + h, left:left + w] = arr
+    if edge:
+        out[..., :top, left:left + w] = arr[..., :1, :]
+        out[..., top + h:, left:left + w] = arr[..., -1:, :]
+        out[..., :left] = out[..., left:left + 1]
+        out[..., left + w:] = out[..., left + w - 1:left + w]
+    return out
 
 
 def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -101,7 +123,9 @@ def _smooth_field(rng: np.random.Generator, size: int, cells: int) -> np.ndarray
     """Zero-mean smooth random surface from a bilinearly upsampled coarse grid."""
     coarse = rng.standard_normal((1, cells, cells))
     field = resize_bilinear(coarse, size, size)[0]
-    return field - field.mean()
+    # summed column by column, the order the field's mean has always used:
+    # the data set's bytes depend on it
+    return field - np.ascontiguousarray(field.T).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +134,14 @@ def _smooth_field(rng: np.random.Generator, size: int, cells: int) -> np.ndarray
 
 def _blob_mask(size: int, centers, axes, angles, harmonics) -> np.ndarray:
     """Union of sinusoidally perturbed ellipses rasterized on the pixel grid."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    grid = np.arange(size, dtype=float)
     mask = np.zeros((size, size), dtype=bool)
     for (cy, cx), (a, b), phi, harm in zip(centers, axes, angles, harmonics):
-        dy, dx = yy - cy, xx - cx
-        u = dx * np.cos(phi) + dy * np.sin(phi)
-        v = -dx * np.sin(phi) + dy * np.cos(phi)
-        rho = np.hypot(u / a, v / b)
-        theta = np.arctan2(v / b, u / a)
+        dy, dx = (grid - cy)[:, None], grid - cx
+        ua = (dx * np.cos(phi) + dy * np.sin(phi)) / a
+        vb = (-dx * np.sin(phi) + dy * np.cos(phi)) / b
+        rho = np.hypot(ua, vb)
+        theta = np.arctan2(vb, ua)
         boundary = np.ones_like(rho)
         for m, amp, shift in harm:
             boundary += amp * np.sin(m * theta + shift)
@@ -170,10 +194,10 @@ def _soft_alpha(mask: np.ndarray) -> np.ndarray:
     kernel = np.array([0.25, 0.5, 0.25])
     out = mask.copy()
     for _ in range(2):
-        padded = np.pad(out, ((1, 1), (0, 0)), mode="edge")
+        padded = pad2d(out, (1, 1), (0, 0), edge=True)
         out = (kernel[0] * padded[:-2] + kernel[1] * padded[1:-1]
                + kernel[2] * padded[2:])
-        padded = np.pad(out, ((0, 0), (1, 1)), mode="edge")
+        padded = pad2d(out, (0, 0), (1, 1), edge=True)
         out = (kernel[0] * padded[:, :-2] + kernel[1] * padded[:, 1:-1]
                + kernel[2] * padded[:, 2:])
     return out
@@ -201,22 +225,21 @@ def gen_synthetic(config: SynthConfig) -> list[Sample]:
     """Deterministic dataset of blob lesions on skin-toned backgrounds."""
     rng = np.random.default_rng(config.seed)
     size = config.size
+    ramp_y = np.linspace(-0.5, 0.5, size)[:, None]
+    ramp_x = np.linspace(-0.5, 0.5, size)[None, :]
     samples = []
     for index in range(config.count):
         mask = _draw_blobs(rng, config)
         alpha = _soft_alpha(mask)
 
         red = rng.uniform(0.66, 0.84)
-        base = np.stack([
-            np.full((size, size), red),
-            np.full((size, size), red - rng.uniform(0.08, 0.18)),
-            np.full((size, size), red - rng.uniform(0.16, 0.3)),
-        ])
+        base = np.empty((3, size, size))
+        base[0] = red
+        base[1] = red - rng.uniform(0.08, 0.18)
+        base[2] = red - rng.uniform(0.16, 0.3)
         base += 0.035 * _smooth_field(rng, size, 4)[None]
         gy, gx = rng.uniform(-0.05, 0.05, size=2)
-        ramp = (np.linspace(-0.5, 0.5, size)[:, None] * gy
-                + np.linspace(-0.5, 0.5, size)[None, :] * gx)
-        base += ramp[None]
+        base += (ramp_y * gy + ramp_x * gx)[None]
 
         contrast = rng.uniform(*config.contrast)
         profile = np.array([1.0, rng.uniform(0.8, 0.95), rng.uniform(0.6, 0.8)])
@@ -329,13 +352,12 @@ def _read_any(path: Path) -> np.ndarray:
 def _fit_to_size(arr: np.ndarray, size: int, nearest: bool) -> np.ndarray:
     """Resize so the longest side equals size, then pad square (top-left)."""
     c, h, w = arr.shape
+    if (h, w) == (size, size):
+        return arr
     scale = size / max(h, w)
     nh, nw = max(1, round(h * scale)), max(1, round(w * scale))
     resized = resize_nearest(arr, nh, nw) if nearest else resize_bilinear(arr, nh, nw)
-    if (nh, nw) == (size, size):
-        return resized
-    mode = "constant" if nearest else "edge"
-    return np.pad(resized, ((0, 0), (0, size - nh), (0, size - nw)), mode=mode)
+    return pad2d(resized, (0, size - nh), (0, size - nw), edge=not nearest)
 
 
 def _files(directory: Path) -> dict[str, Path]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatchError, Tensor, clip_min, gradients, log
 from .backbone import ConfigError
-from .data import Sample, resize_bilinear, resize_nearest
+from .data import Sample, pad2d, resize_bilinear, resize_nearest
 from .metrics import MetricEntry, MetricReport, aggregate, compute_metrics, confusion, write_csv
 from .model import ModelConfig, model_forward, predict_mask
 
@@ -162,9 +162,9 @@ def apply_augment(image: np.ndarray, mask: np.ndarray,
             mask = mask[:, top:top + h, left:left + w]
         else:  # center pad back: image replicates edges, mask stays background
             top, left = (h - nh) // 2, (w - nw) // 2
-            pad = ((0, 0), (top, h - nh - top), (left, w - nw - left))
-            image = np.pad(image, pad, mode="edge")
-            mask = np.pad(mask, pad)
+            rows, cols = (top, h - nh - top), (left, w - nw - left)
+            image = pad2d(image, rows, cols, edge=True)
+            mask = pad2d(mask, rows, cols, edge=False)
     return np.ascontiguousarray(image), np.ascontiguousarray(mask)
 
 

@@ -9,6 +9,7 @@ from lesionseg.backbone import (
     BackboneConfig,
     CheckpointError,
     ConfigError,
+    atomic_write,
     backbone_forward,
     block_factors,
     init_params,
@@ -143,6 +144,21 @@ def test_checkpoint_failed_save_keeps_old_file(tmp_path):
         save_checkpoint(path, broken, {"seed": "14"})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_atomic_write_makes_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.bin"
+    atomic_write(path, b"first")
+    assert path.read_bytes() == b"first"
+    assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
+
+
+def test_atomic_write_replaces_the_target_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    atomic_write(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_checkpoint_truncated_anywhere_fails_closed(tmp_path):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import Tensor
@@ -13,6 +15,7 @@ from lesionseg.data import (
     gen_synthetic,
     load_dataset,
     load_images,
+    pad2d,
     read_manifest,
     resize_bilinear,
     resize_nearest,
@@ -21,8 +24,178 @@ from lesionseg.data import (
     write_manifest,
     write_mask,
     write_sample,
+    _blob_mask,
     _read_pnm,
+    _smooth_field,
+    _soft_alpha,
 )
+from lesionseg.training import AugmentDraw, apply_augment, apply_flip, sample_augment
+
+
+# ---------------------------------------------------------------------------
+# oracles: the resampling and shading helpers in their first, plain form.
+# The generated data set, the augmentation and so every trained model depend
+# on these helpers' bytes, so the package's faster forms must match them
+# exactly, not within a tolerance.
+# ---------------------------------------------------------------------------
+
+def oracle_resize_bilinear(arr, out_h, out_w):
+    c, h, w = arr.shape
+    if (h, w) == (out_h, out_w):
+        return arr.copy()
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    top = arr[:, y0][:, :, x0] * (1 - wx) + arr[:, y0][:, :, x1] * wx
+    bot = arr[:, y1][:, :, x0] * (1 - wx) + arr[:, y1][:, :, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def oracle_smooth_field(rng, size, cells):
+    coarse = rng.standard_normal((1, cells, cells))
+    field = oracle_resize_bilinear(coarse, size, size)[0]
+    return field - field.mean()  # in the memory order of the oracle's result
+
+
+def oracle_blob_mask(size, centers, axes, angles, harmonics):
+    yy, xx = np.mgrid[0:size, 0:size].astype(float)
+    mask = np.zeros((size, size), dtype=bool)
+    for (cy, cx), (a, b), phi, harm in zip(centers, axes, angles, harmonics):
+        dy, dx = yy - cy, xx - cx
+        u = dx * np.cos(phi) + dy * np.sin(phi)
+        v = -dx * np.sin(phi) + dy * np.cos(phi)
+        rho = np.hypot(u / a, v / b)
+        theta = np.arctan2(v / b, u / a)
+        boundary = np.ones_like(rho)
+        for m, amp, shift in harm:
+            boundary += amp * np.sin(m * theta + shift)
+        mask |= rho <= boundary
+    return mask
+
+
+def oracle_soft_alpha(mask):
+    kernel = np.array([0.25, 0.5, 0.25])
+    out = mask.copy()
+    for _ in range(2):
+        padded = np.pad(out, ((1, 1), (0, 0)), mode="edge")
+        out = (kernel[0] * padded[:-2] + kernel[1] * padded[1:-1]
+               + kernel[2] * padded[2:])
+        padded = np.pad(out, ((0, 0), (1, 1)), mode="edge")
+        out = (kernel[0] * padded[:, :-2] + kernel[1] * padded[:, 1:-1]
+               + kernel[2] * padded[:, 2:])
+    return out
+
+
+def oracle_apply_augment(image, mask, draw):
+    image = apply_flip(image, draw.flip_horizontal, draw.flip_vertical)
+    mask = apply_flip(mask, draw.flip_horizontal, draw.flip_vertical)
+    h, w = image.shape[-2:]
+    nh, nw = max(1, round(h * draw.scale)), max(1, round(w * draw.scale))
+    if (nh, nw) != (h, w):
+        image = oracle_resize_bilinear(image, nh, nw)
+        mask = resize_nearest(mask, nh, nw)
+        if nh >= h:
+            top, left = (nh - h) // 2, (nw - w) // 2
+            image = image[:, top:top + h, left:left + w]
+            mask = mask[:, top:top + h, left:left + w]
+        else:
+            top, left = (h - nh) // 2, (w - nw) // 2
+            pad = ((0, 0), (top, h - nh - top), (left, w - nw - left))
+            image = np.pad(image, pad, mode="edge")
+            mask = np.pad(mask, pad)
+    return np.ascontiguousarray(image), np.ascontiguousarray(mask)
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with about a quarter of the cells set to 0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.25] = 0.0
+    x[rng.random(shape) < 0.15] = -0.0
+    return x
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestByteIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 80), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    @example(2, 9, 7, 9, 7, 0)       # identity
+    @example(1, 1, 1, 5, 3, 1)       # 1-pixel map
+    @example(3, 4, 6, 1, 1, 2)       # down to one pixel
+    def test_resize_bilinear(self, c, h, w, out_h, out_w, seed):
+        x = signed_zeros(np.random.default_rng(seed), (c, h, w))
+        want = oracle_resize_bilinear(x, out_h, out_w)
+        assert same_bytes(resize_bilinear(x, out_h, out_w), want)
+
+    def test_resize_bilinear_keeps_the_sign_of_zero(self):
+        x = np.full((1, 2, 2), -0.0)
+        for out in ((2, 2), (3, 5), (1, 1)):
+            assert np.signbit(resize_bilinear(x, *out)).all()
+        x[0, 1, 1] = 0.0
+        for out in ((2, 2), (3, 5), (1, 1)):
+            assert same_bytes(resize_bilinear(x, *out), oracle_resize_bilinear(x, *out))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_soft_alpha_on_real_maps(self, h, w, seed):
+        rng = np.random.default_rng(seed)
+        for x in (signed_zeros(rng, (h, w)), (rng.random((h, w)) > 0.5).astype(float)):
+            assert same_bytes(_soft_alpha(x), oracle_soft_alpha(x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(8, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_blob_mask(self, size, n_blobs, seed):
+        rng = np.random.default_rng(seed)
+        centers = [tuple(rng.uniform(-0.2, 1.2, 2) * size) for _ in range(n_blobs)]
+        axes = [list(rng.uniform(0.5, 0.6 * size, 2)) for _ in range(n_blobs)]
+        angles = list(rng.uniform(0, 2 * np.pi, n_blobs))
+        harmonics = [[(m, rng.uniform(0.0, 0.4), rng.uniform(0, 2 * np.pi))
+                      for m in rng.integers(1, 8, int(rng.integers(0, 4)))]
+                     for _ in range(n_blobs)]
+        got = _blob_mask(size, centers, axes, angles, harmonics)
+        assert same_bytes(got, oracle_blob_mask(size, centers, axes, angles, harmonics))
+
+    # the generator always upsamples (cells < size); the oracle's identity
+    # resize returns a C-ordered copy, whose mean sums in the other order
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([4, 8]), st.integers(9, 96), st.integers(0, 2**32 - 1))
+    @example(4, 64, 0)
+    @example(8, 64, 0)
+    def test_smooth_field(self, cells, size, seed):
+        got = _smooth_field(np.random.default_rng(seed), size, cells)
+        want = oracle_smooth_field(np.random.default_rng(seed), size, cells)
+        assert same_bytes(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2), st.integers(1, 9), st.integers(1, 9),
+           st.tuples(*[st.integers(0, 5)] * 4), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, 4, 4, (0, 0, 0, 0), True, 0)
+    @example(1, 1, 1, (3, 0, 0, 2), True, 0)
+    def test_pad2d_matches_np_pad(self, lead, h, w, widths, edge, seed):
+        x = signed_zeros(np.random.default_rng(seed), (2,) * lead + (h, w))
+        top, bottom, left, right = widths
+        want = np.pad(x, [(0, 0)] * lead + [(top, bottom), (left, right)],
+                      mode="edge" if edge else "constant")
+        assert same_bytes(pad2d(x, (top, bottom), (left, right), edge=edge), want)
+
+    def test_apply_augment_over_200_draws(self):
+        rng = np.random.default_rng(11)
+        sample = gen_synthetic(SynthConfig(count=1, size=32, seed=11))[0]
+        image, mask = sample.image.data, sample.mask.data
+        draws = [sample_augment(rng) for _ in range(200)]
+        assert {d.scale < 1 for d in draws} == {True, False}
+        for draw in draws + [AugmentDraw(True, True, 0.8), AugmentDraw(False, True, 1.2)]:
+            got = apply_augment(image, mask, draw)
+            want = oracle_apply_augment(image, mask, draw)
+            assert all(same_bytes(g, w_) for g, w_ in zip(got, want)), draw
 
 
 class TestSynthConfig:
@@ -265,7 +438,15 @@ class TestManifestAndSplit:
 
 
 class TestSampleValidation:
-    def test_rejects_non_binary_mask(self):
-        with pytest.raises(DatasetError):
-            Sample(image=Tensor(np.zeros((3, 4, 4))),
-                   mask=Tensor(np.full((1, 4, 4), 0.5)), id="bad")
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0])
+    def test_accepts_binary_mask(self, value):
+        mask = np.zeros((1, 4, 4))
+        mask[0, 1:3, 1:3] = value
+        Sample(image=Tensor(np.zeros((3, 4, 4))), mask=Tensor(mask), id="ok")
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, np.nan, np.inf])
+    def test_rejects_non_binary_mask(self, value):
+        mask = np.ones((1, 4, 4))
+        mask[0, 2, 3] = value
+        with pytest.raises(DatasetError, match=r"^mask of sample 'bad' is not binary$"):
+            Sample(image=Tensor(np.zeros((3, 4, 4))), mask=Tensor(mask), id="bad")

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, no
 module reads the environment (every setting is a config key or an option),
 every public function of the engine serves the package, not only tests,
-and every file the package writes goes through backbone.atomic_write."""
+every file the package writes goes through backbone.atomic_write, and
+nothing calls np.pad, whose per-call set-up costs more than the fill."""
 
 import ast
 from pathlib import Path
@@ -146,3 +147,27 @@ def test_atomic_write_is_defined_once():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "atomic_write"]
     assert defined == ["backbone.py"]
+
+
+def np_pad_calls(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "pad"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"line {node.lineno}: {node.value.id}.pad")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import pad"
+                      for alias in node.names if alias.name == "pad"]
+    return found
+
+
+def test_detects_np_pad():
+    assert np_pad_calls("import numpy as np\nnp.pad(x, 1)\n") == ["line 2: np.pad"]
+    assert np_pad_calls("y = numpy.pad(x, 1, mode='edge')\n") == ["line 1: numpy.pad"]
+    assert np_pad_calls("from numpy import pad\n") == ["line 1: from numpy import pad"]
+    assert np_pad_calls("pad2d(x, (1, 1), (0, 0), edge=True)\nnp.zeros(3)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_np_pad(path):
+    assert np_pad_calls(path.read_text()) == []
