@@ -156,6 +156,8 @@ def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> No
     blob += struct.pack("<I", len(params))
     for name in sorted(params):
         data = params[name].data
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: record {name} holds a non-finite value")
         encoded = name.encode()
         blob += struct.pack("<H", len(encoded))
         blob += encoded
@@ -167,8 +169,9 @@ def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> No
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
-    """Parameters and echo of a checkpoint. Every read is length-checked, so
-    a damaged file raises CheckpointError naming it."""
+    """Parameters and echo of a checkpoint. Every read is length-checked and
+    every value must be finite, so a damaged file raises CheckpointError
+    naming it."""
     blob = Path(path).read_bytes()
     pos = 0
 
@@ -210,6 +213,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
             raise CheckpointError(f"{path}: record {name} is repeated or empty")
         raw = take(8 * math.prod(shape), f"record {name}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: record {name} holds a non-finite value")
         params[name] = Tensor(data, requires_grad=True)
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last record")

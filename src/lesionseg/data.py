@@ -14,6 +14,7 @@ has no codec dependency; PNG works through Pillow when it is installed.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,19 +134,36 @@ def _smooth_field(rng: np.random.Generator, size: int, cells: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _blob_mask(size: int, centers, axes, angles, harmonics) -> np.ndarray:
-    """Union of sinusoidally perturbed ellipses rasterized on the pixel grid."""
+    """Union of sinusoidally perturbed ellipses rasterized on the pixel grid.
+
+    A pixel is inside when hypot(u/a, v/b) is at most the boundary
+    1 + sum amp sin(m theta + shift), which never exceeds 1 + sum |amp|, so
+    the boundary is evaluated only where |u/a| and |v/b| are within that
+    reach, inside the axis-aligned box around it."""
     grid = np.arange(size, dtype=float)
     mask = np.zeros((size, size), dtype=bool)
     for (cy, cx), (a, b), phi, harm in zip(centers, axes, angles, harmonics):
-        dy, dx = (grid - cy)[:, None], grid - cx
+        # the relative slack, far above the rounding of the boundary sum and
+        # of u/a and v/b, keeps every pixel the rounded test can accept
+        reach = (1.0 + sum(abs(amp) for _, amp, _ in harm)) * (1.0 + 1e-6)
+        cos, sin = abs(np.cos(phi)), abs(np.sin(phi))
+        half_y, half_x = reach * (a * sin + b * cos), reach * (a * cos + b * sin)
+        y0, y1 = max(0, math.floor(cy - half_y)), min(size, math.ceil(cy + half_y) + 1)
+        x0, x1 = max(0, math.floor(cx - half_x)), min(size, math.ceil(cx + half_x) + 1)
+        if y0 >= y1 or x0 >= x1:  # the blob lies off the grid
+            continue
+        dy, dx = (grid[y0:y1] - cy)[:, None], grid[x0:x1] - cx
         ua = (dx * np.cos(phi) + dy * np.sin(phi)) / a
         vb = (-dx * np.sin(phi) + dy * np.cos(phi)) / b
+        near = (np.abs(ua) <= reach) & (np.abs(vb) <= reach)
+        ua, vb = ua[near], vb[near]
         rho = np.hypot(ua, vb)
         theta = np.arctan2(vb, ua)
         boundary = np.ones_like(rho)
         for m, amp, shift in harm:
             boundary += amp * np.sin(m * theta + shift)
-        mask |= rho <= boundary
+        box = mask[y0:y1, x0:x1]
+        box[near] |= rho <= boundary
     return mask
 
 
@@ -425,8 +443,12 @@ def read_manifest(root) -> dict[str, str]:
     path = Path(root) / "manifest.csv"
     if not path.is_file():
         return {}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: not utf-8 text") from None
     out = {}
-    for line in path.read_text().splitlines()[1:]:
+    for line in text.splitlines()[1:]:
         sample_id, _, split = line.partition(",")
         if sample_id:
             out[sample_id] = split

@@ -146,6 +146,17 @@ def test_checkpoint_failed_save_keeps_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_refuses_a_non_finite_record(tmp_path, value):
+    params = {"a.kernel": Tensor(np.arange(6.0).reshape(1, 2, 3)),
+              "b.bias": Tensor(np.array([1.0, value]))}
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match=(
+            f"^{re.escape(str(path))}: record b.bias holds a non-finite value$")):
+        save_checkpoint(path, params, {"seed": "1"})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atomic_write_makes_missing_directories(tmp_path):
     path = tmp_path / "a" / "b" / "out.bin"
     atomic_write(path, b"first")

@@ -297,6 +297,39 @@ class TestWorkflow:
         assert capsys.readouterr().err == (
             f"error: {bad}: parameter backbone.b1.bias is missing\n")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_eval_rejects_non_finite_record(self, workspace, tmp_path, capsys, value):
+        # save_checkpoint refuses to write the value, so it goes into the bytes
+        _, data, run = workspace
+        blob = (run / "checkpoint.ckpt").read_bytes()
+        params, _ = load_checkpoint(run / "checkpoint.ckpt")
+        record = params["head.0.cls.kernel"].data.astype("<f8").tobytes()
+        assert blob.count(record) == 1
+        at = blob.index(record) + 8
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:at] + np.array([value], "<f8").tobytes() + blob[at + 8:])
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(bad), "--data", str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: record head.0.cls.kernel holds a non-finite value\n")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_not_utf8_names_the_file(self, workspace, tmp_path, capsys, command):
+        _, data, run = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        manifest = copy / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b"synth0002", b"synth\xff002"))
+        capsys.readouterr()
+        args = ["--checkpoint", str(run / "checkpoint.ckpt")] if command == "eval" else []
+        code = run_cli(command, *args, "--data", str(copy),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {manifest}: not utf-8 text\n"
+
     def test_predict_rejects_wrong_shape(self, workspace, tmp_path, capsys):
         _, data, run = workspace
         params, echo = load_checkpoint(run / "checkpoint.ckpt")

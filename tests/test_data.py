@@ -150,18 +150,27 @@ class TestByteIdentity:
         for x in (signed_zeros(rng, (h, w)), (rng.random((h, w)) > 0.5).astype(float)):
             assert same_bytes(_soft_alpha(x), oracle_soft_alpha(x))
 
-    @settings(max_examples=80, deadline=None)
+    # negative amplitudes and blobs off the grid reach the bounding box's edges
+    @settings(max_examples=150, deadline=None)
     @given(st.integers(8, 80), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_blob_mask(self, size, n_blobs, seed):
         rng = np.random.default_rng(seed)
-        centers = [tuple(rng.uniform(-0.2, 1.2, 2) * size) for _ in range(n_blobs)]
+        centers = [tuple(rng.uniform(-0.5, 1.5, 2) * size) for _ in range(n_blobs)]
         axes = [list(rng.uniform(0.5, 0.6 * size, 2)) for _ in range(n_blobs)]
         angles = list(rng.uniform(0, 2 * np.pi, n_blobs))
-        harmonics = [[(m, rng.uniform(0.0, 0.4), rng.uniform(0, 2 * np.pi))
-                      for m in rng.integers(1, 8, int(rng.integers(0, 4)))]
+        harmonics = [[(m, rng.uniform(-0.4, 0.4), rng.uniform(0, 2 * np.pi))
+                      for m in rng.integers(1, 8, int(rng.integers(0, 5)))]
                      for _ in range(n_blobs)]
         got = _blob_mask(size, centers, axes, angles, harmonics)
         assert same_bytes(got, oracle_blob_mask(size, centers, axes, angles, harmonics))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_blob_mask_at_its_reach(self, m):
+        # an axis-aligned blob whose boundary peaks at 1 + amp at theta = 0,
+        # where pixel (16, 16) lies exactly on it: u / a = 6.25 / 5 = 1.25
+        args = (32, [(16.0, 9.75)], [[5.0, 3.0]], [0.0], [[(m, 0.25, np.pi / 2)]])
+        got = _blob_mask(*args)
+        assert got[16, 16] and same_bytes(got, oracle_blob_mask(*args))
 
     # the generator always upsamples (cells < size); the oracle's identity
     # resize returns a C-ordered copy, whose mean sums in the other order

@@ -1,8 +1,12 @@
 """Every module-level import in the package is used by its module, no
 module reads the environment (every setting is a config key or an option),
 every public function of the engine serves the package, not only tests,
-every file the package writes goes through backbone.atomic_write, and
-nothing calls np.pad, whose per-call set-up costs more than the fill."""
+every file the package writes goes through backbone.atomic_write,
+nothing calls np.pad, whose per-call set-up costs more than the fill, and
+only model.py starts threads. The engine shares arrays between nodes and
+relies on nothing writing into an array a node has read; predict_mask's one
+worker keeps that by sharing only detached parameters and the features this
+thread hands it, and a thread elsewhere would need the same proof."""
 
 import ast
 from pathlib import Path
@@ -171,3 +175,35 @@ def test_detects_np_pad():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_np_pad(path):
     assert np_pad_calls(path.read_text()) == []
+
+
+CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] in CONCURRENCY]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] in CONCURRENCY):
+            found.append(f"line {node.lineno}: from {node.module} import")
+    return found
+
+
+def test_detects_a_concurrency_import():
+    assert concurrency_imports("import threading\n") == ["line 1: import threading"]
+    assert concurrency_imports("import os, multiprocessing.pool as mp\n") == \
+        ["line 1: import multiprocessing.pool"]
+    assert concurrency_imports("def f():\n    from concurrent.futures import Executor\n") \
+        == ["line 2: from concurrent.futures import"]
+    assert concurrency_imports("from concurrent import futures\n") == \
+        ["line 1: from concurrent import"]
+    assert concurrency_imports("import os\nfrom .model import threads\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_model_starts_threads(path):
+    if path.name != "model.py":
+        assert concurrency_imports(path.read_text()) == []

@@ -1,4 +1,8 @@
 import gc
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +19,7 @@ from lesionseg.model import (
     DESK_RATES,
     PAPER_RATES,
     PAPER_WINDOWS,
+    PIPELINE_CHUNK,
     PREDICT_CHUNK,
     ModelConfig,
     build_params,
@@ -30,6 +35,9 @@ TINY = ModelConfig(
                             reduce_channels=4),
     rates=(1, 2), bank_channels=4, windows=(3, 3, 3, 5, 7, 3, 3))
 DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the stage functions as the package defines them, for the wrappers below
+model_encode, model_decide = model.encode, model.decide
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +144,12 @@ def test_predict_mask_binary():
 def test_predict_mask_records_no_graph(monkeypatch):
     recorded = []
 
-    def forward(*args, **kwargs):
-        out = model_forward(*args, **kwargs)
+    def decide(*args, **kwargs):
+        out = model_decide(*args, **kwargs)
         recorded.append(out[1])
         return out
 
-    monkeypatch.setattr(model, "model_forward", forward)
+    monkeypatch.setattr(model, "decide", decide)
     rng = np.random.default_rng(2)
     params = build_params(TINY, seed=3, use_bidfl=True)
     predict_mask(Tensor(rng.random((3, 32, 32))), params, TINY, True, True, 10.0)
@@ -149,22 +157,115 @@ def test_predict_mask_records_no_graph(monkeypatch):
     assert probs._parents == () and probs._backward is None
 
 
-def test_predict_mask_chunks_match_single_images(desk, monkeypatch):
+def cpus(monkeypatch, count):
+    """Make predict_mask see `count` CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["one_cpu", "two_cpus"])
+def test_predict_mask_chunks_match_single_images(desk, monkeypatch, count):
     predict, images = desk
     singles = np.stack([predict(image) for image in images[:9]])
-    sizes = []
+    encoded, decided = [], []
 
-    def forward(image, *args, **kwargs):
-        out = model_forward(image, *args, **kwargs)
-        sizes.append(len(image.data))
+    def encode(image, *args, **kwargs):
+        encoded.append(len(image.data))
+        return model_encode(image, *args, **kwargs)
+
+    def decide(features, *args, **kwargs):
+        out = model_decide(features, *args, **kwargs)
+        decided.append(len(out[1].data))
         assert out[1]._parents == () and out[1]._backward is None
         return out
 
-    monkeypatch.setattr(model, "model_forward", forward)
-    for batch in (1, 4, 6, 9):        # remainder chunks of 2 and 1
-        sizes.clear()
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(model, "encode", encode)
+    monkeypatch.setattr(model, "decide", decide)
+    for batch in (1, 2, 4, 6, 9):     # whole chunks and remainders, both sizes
+        encoded.clear()
+        decided.clear()
         assert np.array_equal(predict(images[:batch]), singles[:batch])
-        assert sum(sizes) == batch and max(sizes) <= PREDICT_CHUNK
+        size = PIPELINE_CHUNK if count > 1 and batch > PIPELINE_CHUNK else PREDICT_CHUNK
+        assert encoded == [min(size, batch - i) for i in range(0, batch, size)]
+        assert decided == encoded
+
+
+BATCH_MASKS = """
+import os
+import sys
+import numpy as np
+from lesionseg.autodiff import Tensor
+from lesionseg.cli import parse_config, train_config
+from lesionseg.model import build_params, predict_mask
+tc = train_config(parse_config(sys.argv[1]))
+params = build_params(tc.model, seed=3, use_bidfl=True)
+images = np.random.default_rng(7).random((9, 3, 64, 64))
+
+def predict(x):
+    return predict_mask(Tensor(x), params, tc.model, True, True, tc.sigma_sq)
+
+singles = np.stack([predict(image) for image in images])
+os.sched_getaffinity = lambda pid: {0, 1}   # the pipeline, on any machine
+assert predict(images).tobytes() == singles.tobytes()
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pipelined_batch_matches_single_images_at_each_blas_thread_count(threads):
+    # a fresh process, as OpenBLAS reads its thread count once, at load
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BATCH_MASKS, str(DESK_CFG)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path,
+                        "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+    assert proc.returncode == 0, proc.stderr
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def test_predict_mask_raises_what_a_chunk_raised_and_joins_its_worker(desk, monkeypatch):
+    predict, images = desk
+    calls = []
+
+    def decide(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise Boom("second chunk")
+        return model_decide(*args, **kwargs)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(model, "decide", decide)
+    before = threading.active_count()
+    with pytest.raises(Boom, match="^second chunk$"):
+        predict(images[:6])
+    assert threading.active_count() == before
+    assert len(calls) == 2 and threading.main_thread() not in calls
+
+
+@pytest.mark.parametrize("batch, count, started", [
+    (1, 2, 0),                    # one image
+    (PIPELINE_CHUNK, 2, 0),       # one chunk
+    (3 * PREDICT_CHUNK, 1, 0),    # one CPU
+    (PIPELINE_CHUNK + 1, 2, 1),   # the pipeline: one worker
+    (3 * PREDICT_CHUNK, 2, 1),
+], ids=["batch1", "one_chunk", "one_cpu", "two_chunks", "six_chunks"])
+def test_predict_mask_threads(desk, monkeypatch, batch, count, started):
+    predict, images = desk
+    starts = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        starts.append(thread)
+        start(thread)
+
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    before = threading.active_count()
+    predict(images[0] if batch == 1 else images[:batch])
+    assert len(starts) == started
+    assert threading.active_count() == before
 
 
 def test_predict_mask_memory_does_not_grow_with_batch(desk):
