@@ -184,8 +184,10 @@ def cmd_train(args) -> int:
     state, records = train(train_set, tc)
     out = Path(args.out)
     echo = config_echo(tc.model, tc.use_bidfl, tc.use_mcdf, tc.sigma_sq, tc.seed)
-    save_checkpoint(out / "checkpoint.ckpt", state.parameters, echo)
+    # the log first: a run whose last update overflowed a parameter has no
+    # checkpoint to save, and the log shows where it went wrong
     write_loss_log(out / "loss_log.csv", records)
+    save_checkpoint(out / "checkpoint.ckpt", state.parameters, echo)
     print(f"trained {tc.max_iter} iterations "
           f"(final loss {records[-1].loss:.6f}, running {state.running_loss:.6f})")
     print(f"checkpoint: {out / 'checkpoint.ckpt'}")

@@ -150,8 +150,6 @@ def _blob_mask(size: int, centers, axes, angles, harmonics) -> np.ndarray:
         half_y, half_x = reach * (a * sin + b * cos), reach * (a * cos + b * sin)
         y0, y1 = max(0, math.floor(cy - half_y)), min(size, math.ceil(cy + half_y) + 1)
         x0, x1 = max(0, math.floor(cx - half_x)), min(size, math.ceil(cx + half_x) + 1)
-        if y0 >= y1 or x0 >= x1:  # the blob lies off the grid
-            continue
         dy, dx = (grid[y0:y1] - cy)[:, None], grid[x0:x1] - cx
         ua = (dx * np.cos(phi) + dy * np.sin(phi)) / a
         vb = (-dx * np.sin(phi) + dy * np.cos(phi)) / b

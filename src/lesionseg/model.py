@@ -3,7 +3,6 @@ heads, and score fusion, plus parameter construction and prediction."""
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,16 +39,14 @@ from .schema import Schema, build, field_type, format_value, sections
 PAPER_RATES = (3, 6, 12, 18, 24)
 PAPER_WINDOWS = (3, 3, 3, 5, 7, 9, 11, 13, 15, 17)
 DESK_RATES = (1, 2, 4, 6, 8)
-# Images per predict_mask chunk when chunks run one after another. Batches of
-# 1 to 12 give each image the same probabilities byte for byte.
-PREDICT_CHUNK = 4
-# Images per chunk in predict_mask's pipeline, which keeps two chunks alive.
-# On the desk model, pipelined chunks of 4 served a 40-image batch about 1.6x
-# as fast as sequential ones but raised peak RSS by about 7%, since one chunk
-# of 4 peaks at block 2's im2col columns; chunks of 2 gave about 1.5x for
-# about 4%. Run one after another, chunks of 2 are no faster than chunks of 4
-# and read about 9% slower in the benchmark, so sequential calls keep 4.
-PIPELINE_CHUNK = 2
+# Images per predict_mask chunk; a batch of more than one chunk is pipelined,
+# which keeps two chunks alive. On the desk model, pipelined chunks of 4
+# served a 40-image batch about 1.6x as fast as sequential ones but raised
+# peak RSS by about 7%, since one chunk of 4 peaks at block 2's im2col
+# columns; chunks of 2 gave about 1.5x for about 4%, and pinned to one CPU
+# they are as fast as the sequential chunks of 4 they replace. Batches of 1
+# to 12 give each image the same probabilities byte for byte.
+PREDICT_CHUNK = 2
 
 # configuration keys -> (section, field); see schema.py
 MODEL_KEYS: Schema = {
@@ -168,28 +165,24 @@ def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
     """Binary lesion mask: lesion-channel probability thresholded at 0.5.
 
     Runs on detached parameters, so the forward pass records no graph, and
-    a batch a few images at a time, so peak memory does not grow with the
-    batch size. A batch of more than PIPELINE_CHUNK images, on a process
-    that may run on two or more CPUs, is pipelined: one worker thread
-    decides chunk k while this thread encodes chunk k+1, so at most two
-    chunks' features are alive, and the worker is joined before this returns
-    or raises. Any other call runs chunks of PREDICT_CHUNK one after another
-    and starts no thread.
+    a batch PREDICT_CHUNK images at a time, so peak memory does not grow
+    with the batch size. A batch of more than one chunk is pipelined: one
+    worker thread decides chunk k while this thread encodes chunk k+1, so at
+    most two chunks' features are alive, and the worker is joined before
+    this returns or raises. One image or one chunk starts no thread.
     """
     frozen = {name: p.detach() for name, p in params.items()}
     count = len(image.data) if image.ndim == 4 else 1
-    pipelined = count > PIPELINE_CHUNK and len(os.sched_getaffinity(0)) >= 2
-    size = PIPELINE_CHUNK if pipelined else PREDICT_CHUNK
     chunks = [image] if image.ndim == 3 else [
-        Tensor(image.data[i:i + size]) for i in range(0, count, size)]
+        Tensor(image.data[i:i + PREDICT_CHUNK]) for i in range(0, count, PREDICT_CHUNK)]
 
     def mask(features: Features) -> np.ndarray:
         # the chunk's features and score maps are garbage once its mask is cut
         probs = decide(features, frozen, config, use_bidfl, use_mcdf, sigma_sq)[1]
         return probs.data[..., 0, :, :] > 0.5
 
-    if not pipelined:
-        masks = [mask(encode(chunk, frozen, config, use_bidfl)) for chunk in chunks]
+    if len(chunks) == 1:
+        masks = [mask(encode(chunks[0], frozen, config, use_bidfl))]
     else:
         masks, pending = [], None
         with ThreadPoolExecutor(1) as worker:

@@ -316,6 +316,28 @@ class TestWorkflow:
             f"error: {bad}: record head.0.cls.kernel holds a non-finite value\n")
         assert not (tmp_path / "e").exists()
 
+    def test_train_with_non_finite_parameter_keeps_its_loss_log(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # every loss was finite, but the last update overflowed a parameter
+        import lesionseg.cli as cli
+        _, data, run = workspace
+        trained = cli.train
+
+        def diverged(*args):
+            state, records = trained(*args)
+            state.parameters["head.0.cls.kernel"].data[0] = np.inf
+            return state, records
+
+        monkeypatch.setattr(cli, "train", diverged)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(data), "--out", str(out), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {out / 'checkpoint.ckpt'}: record "
+                                           "head.0.cls.kernel holds a non-finite value\n")
+        assert not (out / "checkpoint.ckpt").exists()
+        assert (out / "loss_log.csv").read_bytes() == (run / "loss_log.csv").read_bytes()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_manifest_not_utf8_names_the_file(self, workspace, tmp_path, capsys, command):
         _, data, run = workspace

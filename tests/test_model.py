@@ -19,7 +19,6 @@ from lesionseg.model import (
     DESK_RATES,
     PAPER_RATES,
     PAPER_WINDOWS,
-    PIPELINE_CHUNK,
     PREDICT_CHUNK,
     ModelConfig,
     build_params,
@@ -157,13 +156,7 @@ def test_predict_mask_records_no_graph(monkeypatch):
     assert probs._parents == () and probs._backward is None
 
 
-def cpus(monkeypatch, count):
-    """Make predict_mask see `count` CPUs it may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-@pytest.mark.parametrize("count", [1, 2], ids=["one_cpu", "two_cpus"])
-def test_predict_mask_chunks_match_single_images(desk, monkeypatch, count):
+def test_predict_mask_chunks_match_single_images(desk, monkeypatch):
     predict, images = desk
     singles = np.stack([predict(image) for image in images[:9]])
     encoded, decided = [], []
@@ -178,20 +171,18 @@ def test_predict_mask_chunks_match_single_images(desk, monkeypatch, count):
         assert out[1]._parents == () and out[1]._backward is None
         return out
 
-    cpus(monkeypatch, count)
     monkeypatch.setattr(model, "encode", encode)
     monkeypatch.setattr(model, "decide", decide)
-    for batch in (1, 2, 4, 6, 9):     # whole chunks and remainders, both sizes
+    for batch in (1, 2, 3, 4, 9):     # one chunk, whole chunks and remainders
         encoded.clear()
         decided.clear()
         assert np.array_equal(predict(images[:batch]), singles[:batch])
-        size = PIPELINE_CHUNK if count > 1 and batch > PIPELINE_CHUNK else PREDICT_CHUNK
-        assert encoded == [min(size, batch - i) for i in range(0, batch, size)]
+        assert encoded == [min(PREDICT_CHUNK, batch - i)
+                           for i in range(0, batch, PREDICT_CHUNK)]
         assert decided == encoded
 
 
 BATCH_MASKS = """
-import os
 import sys
 import numpy as np
 from lesionseg.autodiff import Tensor
@@ -205,7 +196,6 @@ def predict(x):
     return predict_mask(Tensor(x), params, tc.model, True, True, tc.sigma_sq)
 
 singles = np.stack([predict(image) for image in images])
-os.sched_getaffinity = lambda pid: {0, 1}   # the pipeline, on any machine
 assert predict(images).tobytes() == singles.tobytes()
 """
 
@@ -235,7 +225,6 @@ def test_predict_mask_raises_what_a_chunk_raised_and_joins_its_worker(desk, monk
             raise Boom("second chunk")
         return model_decide(*args, **kwargs)
 
-    cpus(monkeypatch, 2)
     monkeypatch.setattr(model, "decide", decide)
     before = threading.active_count()
     with pytest.raises(Boom, match="^second chunk$"):
@@ -244,14 +233,13 @@ def test_predict_mask_raises_what_a_chunk_raised_and_joins_its_worker(desk, monk
     assert len(calls) == 2 and threading.main_thread() not in calls
 
 
-@pytest.mark.parametrize("batch, count, started", [
-    (1, 2, 0),                    # one image
-    (PIPELINE_CHUNK, 2, 0),       # one chunk
-    (3 * PREDICT_CHUNK, 1, 0),    # one CPU
-    (PIPELINE_CHUNK + 1, 2, 1),   # the pipeline: one worker
-    (3 * PREDICT_CHUNK, 2, 1),
-], ids=["batch1", "one_chunk", "one_cpu", "two_chunks", "six_chunks"])
-def test_predict_mask_threads(desk, monkeypatch, batch, count, started):
+@pytest.mark.parametrize("batch, started", [
+    (1, 0),                       # one image
+    (PREDICT_CHUNK, 0),           # one chunk
+    (PREDICT_CHUNK + 1, 1),       # the pipeline: one worker
+    (6 * PREDICT_CHUNK, 1),
+], ids=["batch1", "one_chunk", "two_chunks", "six_chunks"])
+def test_predict_mask_threads(desk, monkeypatch, batch, started):
     predict, images = desk
     starts = []
     start = threading.Thread.start
@@ -260,7 +248,6 @@ def test_predict_mask_threads(desk, monkeypatch, batch, count, started):
         starts.append(thread)
         start(thread)
 
-    cpus(monkeypatch, count)
     monkeypatch.setattr(threading.Thread, "start", recorded)
     before = threading.active_count()
     predict(images[0] if batch == 1 else images[:batch])
