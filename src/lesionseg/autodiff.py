@@ -267,29 +267,33 @@ def _conv_out_dim(n: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _zero_pad(x: np.ndarray, r: int) -> np.ndarray:
-    """x with r zeros around its trailing two axes."""
-    h, w = x.shape[-2:]
-    out = np.zeros((*x.shape[:-2], h + 2 * r, w + 2 * r))
-    out[..., r:r + h, r:r + w] = x
+def pad2d(arr: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
+          edge: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """arr grown by rows = (top, bottom) and cols = (left, right) cells on its
+    last two axes, filled with copies of the nearest edge cell when edge is
+    set and with zeros otherwise: np.pad's edge and constant modes. Written
+    into out, which must have the grown shape, when it is given."""
+    (top, bottom), (left, right) = rows, cols
+    h, w = arr.shape[-2:]
+    if out is None:
+        fill = np.empty if edge else np.zeros
+        out = fill((*arr.shape[:-2], top + h + bottom, left + w + right), arr.dtype)
+    elif not edge:
+        out[...] = 0.0
+    out[..., top:top + h, left:left + w] = arr
+    if edge:
+        out[..., :top, left:left + w] = arr[..., :1, :]
+        out[..., top + h:, left:left + w] = arr[..., -1:, :]
+        out[..., :left] = out[..., left:left + 1]
+        out[..., left + w:] = out[..., left + w - 1:left + w]
     return out
-
-
-def _edge_pad(out: np.ndarray, x: np.ndarray, r: int) -> None:
-    """Fill out with x and r replicated edge cells around its trailing two axes."""
-    h, w = x.shape[-2:]
-    out[..., r:r + h, r:r + w] = x
-    out[..., :r, r:r + w] = x[..., :1, :]
-    out[..., r + h:, r:r + w] = x[..., -1:, :]
-    out[..., :, :r] = out[..., :, r:r + 1]
-    out[..., :, r + w:] = out[..., :, r + w - 1:r + w]
 
 
 def _conv_windows(x4: np.ndarray, kh: int, kw: int, stride: int, pad: int,
                   dil: int, out_hw: tuple[int, int]) -> np.ndarray:
     """Strided+dilated sliding windows of shape (N,C,outH,outW,kh,kw)."""
     if pad:
-        x4 = _zero_pad(x4, pad)
+        x4 = pad2d(x4, (pad, pad), (pad, pad), edge=False)
     eh, ew = dil * (kh - 1) + 1, dil * (kw - 1) + 1
     win = sliding_window_view(x4, (eh, ew), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, ::dil, ::dil]
@@ -607,7 +611,7 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
     buf[..., 0, :] = 0.0
     buf[..., :, 0] = 0.0
     xp, xsq = buf[..., 1:, 1:]
-    _edge_pad(xp, x.data, r)
+    pad2d(x.data, (r, r), (r, r), edge=True, out=xp)
     np.multiply(xp, xp, out=xsq)
     sums = _box_sums(buf, window)
     m = sums[0] / (window * window)

@@ -1,9 +1,9 @@
 """Small configurable convolutional encoder.
 
 Five blocks of conv-ReLU(-maxpool). The last two blocks trade stride for
-dilation (rates 2 and 4) so their feature maps keep block 3's resolution,
-and a final 1x1 reduction produces the compact top-layer feature map that
-feeds the dilated bank. He-style seeded init replaces pretraining.
+dilation (rates 2 and 4) so their feature maps keep block 3's resolution.
+With BiDFL on top, a final 1x1 reduction produces the compact top-layer map
+that feeds its dilated bank. He-style seeded init replaces pretraining.
 """
 
 from __future__ import annotations
@@ -36,14 +36,17 @@ class BackboneConfig:
     reduce_channels: int = 16
 
     def __post_init__(self):
-        if len(self.channels) != 5 or len(self.strides) != 5:
+        for key, values in (("channels", self.channels), ("strides", self.strides)):
+            if len(values) != 5:
+                raise ConfigError(f"backbone.{key}: expected 5 values, got {len(values)}")
+        if any(c < 1 for c in self.channels):
             raise ConfigError(
-                f"expected 5 block channels and 5 strides, got "
-                f"{len(self.channels)} and {len(self.strides)}")
-        if any(c < 1 for c in self.channels) or self.reduce_channels < 1:
-            raise ConfigError("channel counts must be positive")
+                f"backbone.channels: expected positive values, got {self.channels}")
+        if self.reduce_channels < 1:
+            raise ConfigError(
+                f"backbone.reduce: expected at least 1, got {self.reduce_channels}")
         if any(s not in (1, 2) for s in self.strides):
-            raise ConfigError(f"block strides must be 1 or 2, got {self.strides}")
+            raise ConfigError(f"backbone.strides: expected each 1 or 2, got {self.strides}")
 
     def block_dilation(self, index: int) -> int:
         if index in DILATED_BLOCK_RATES and self.strides[index] == 1:
@@ -54,7 +57,7 @@ class BackboneConfig:
 @dataclass
 class BlockFeatures:
     per_block: list[Tensor]
-    reduced: Tensor
+    reduced: Tensor | None   # None when the parameters hold no reduction
 
 
 def add_conv(params: dict[str, Tensor], name: str, kernel: np.ndarray) -> None:
@@ -73,15 +76,18 @@ def he_kernel(rng: np.random.Generator, out_c: int, in_c: int, k: int) -> np.nda
     return rng.uniform(-limit, limit, size=(out_c, in_c, k, k))
 
 
-def init_params(config: BackboneConfig, seed: int) -> dict[str, Tensor]:
-    """He fan-in uniform kernels, zero biases, fully determined by seed."""
+def init_params(config: BackboneConfig, seed: int,
+                with_reduce: bool = False) -> dict[str, Tensor]:
+    """He fan-in uniform kernels, zero biases, fully determined by seed. The
+    1x1 reduction, the last draw, is built only with_reduce."""
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     in_c = IMAGE_CHANNELS
     for i, out_c in enumerate(config.channels):
         add_conv(params, f"backbone.b{i + 1}", he_kernel(rng, out_c, in_c, 3))
         in_c = out_c
-    add_conv(params, "backbone.reduce", he_kernel(rng, config.reduce_channels, in_c, 1))
+    if with_reduce:
+        add_conv(params, "backbone.reduce", he_kernel(rng, config.reduce_channels, in_c, 1))
     return params
 
 
@@ -102,7 +108,9 @@ def backbone_forward(image: Tensor, config: BackboneConfig,
         if config.strides[i] == 2:
             x = max_pool2d(x)
         blocks.append(x)
-    reduced = conv2d(blocks[-1], conv_params(params, "backbone.reduce"), relu=True)
+    reduced = None
+    if "backbone.reduce.kernel" in params:
+        reduced = conv2d(blocks[-1], conv_params(params, "backbone.reduce"), relu=True)
     return BlockFeatures(per_block=blocks, reduced=reduced)
 
 

@@ -36,7 +36,7 @@ from .model import (
     predict_mask,
 )
 from .schema import Schema, build, field_default, field_type, format_value, parse_value
-from .training import TrainConfig, evaluate, train, write_loss_log
+from .training import TrainConfig, TrainingDivergedError, evaluate, train, write_loss_log
 
 # Every configuration key: key -> (section, field). The field's type and
 # default are the key's (see schema.py); the model's keys come from model.py.
@@ -109,13 +109,11 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
         config[key] = value
     for key, value in config.items():
         parse_value(key, value, _type(key))
-    for key, least in (("image_size", 1), ("seed", 0), ("synth.count", 1),
-                       ("synth.size", 8), ("train.batch_size", 1)):
+    # image_size sets no field and no dataclass checks seed; each dataclass
+    # checks the ranges of its own fields
+    for key, least in (("image_size", 1), ("seed", 0)):
         if config_value(config, key) < least:
             raise ConfigError(f"{key}: expected at least {least}, got {config[key]!r}")
-    if not 0.0 <= config_value(config, "train.momentum") < 1.0:
-        raise ConfigError(
-            f"train.momentum: expected a value in [0, 1), got {config['train.momentum']!r}")
     return config
 
 
@@ -181,8 +179,13 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config, args.set)
     tc = train_config(cfg, args.ablation)
     train_set, _ = _load_split(args.data, cfg)
-    state, records = train(train_set, tc)
     out = Path(args.out)
+    try:
+        state, records = train(train_set, tc)
+    except TrainingDivergedError as err:
+        # no model to save, but the log shows where the run went wrong
+        write_loss_log(out / "loss_log.csv", err.records)
+        raise
     echo = config_echo(tc.model, tc.use_bidfl, tc.use_mcdf, tc.sigma_sq, tc.seed)
     # the log first: a run whose last update overflowed a parameter has no
     # checkpoint to save, and the log shows where it went wrong

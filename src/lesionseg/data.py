@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tensor
+from .autodiff import ShapeMismatchError, Tensor, pad2d
 from .backbone import ConfigError, atomic_write
 
 
@@ -57,14 +57,19 @@ class SynthConfig:
     def __post_init__(self):
         lo, hi = self.lesion_fraction
         if not (0.0 < lo < hi < 1.0):
-            raise ConfigError(
-                f"lesion fraction range must satisfy 0 < lo < hi < 1, got {self.lesion_fraction}")
+            raise ConfigError(f"synth.lesion_fraction: expected 0 < lo < hi < 1, "
+                              f"got {self.lesion_fraction}")
         if self.contrast[0] > self.contrast[1] or self.contrast[0] < 0:
-            raise ConfigError(f"bad contrast range {self.contrast}")
-        if self.count < 1 or self.size < 8:
-            raise ConfigError("count must be >= 1 and size >= 8")
-        if self.noise_std < 0 or not (0.0 <= self.hair_prob <= 1.0):
-            raise ConfigError("noise_std must be >= 0 and hair_prob in [0, 1]")
+            raise ConfigError(f"synth.contrast: expected 0 <= lo <= hi, got {self.contrast}")
+        if self.count < 1:
+            raise ConfigError(f"synth.count: expected at least 1, got {self.count}")
+        if self.size < 8:
+            raise ConfigError(f"synth.size: expected at least 8, got {self.size}")
+        if self.noise_std < 0:
+            raise ConfigError(f"synth.noise_std: expected at least 0, got {self.noise_std}")
+        if not 0.0 <= self.hair_prob <= 1.0:
+            raise ConfigError(
+                f"synth.hair_prob: expected a value in [0, 1], got {self.hair_prob}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +96,6 @@ def resize_bilinear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wx = np.clip(xs - x0, 0.0, 1.0)
     rows = arr[:, :, x0] * (1 - wx) + arr[:, :, x1] * wx
     return rows[:, y0] * (1 - wy) + rows[:, y1] * wy
-
-
-def pad2d(arr: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
-          edge: bool) -> np.ndarray:
-    """arr grown by rows = (top, bottom) and cols = (left, right) cells on its
-    last two axes, filled with copies of the nearest edge cell when edge is
-    set and with zeros otherwise: np.pad's edge and constant modes."""
-    (top, bottom), (left, right) = rows, cols
-    h, w = arr.shape[-2:]
-    fill = np.empty if edge else np.zeros
-    out = fill((*arr.shape[:-2], top + h + bottom, left + w + right), arr.dtype)
-    out[..., top:top + h, left:left + w] = arr
-    if edge:
-        out[..., :top, left:left + w] = arr[..., :1, :]
-        out[..., top + h:, left:left + w] = arr[..., -1:, :]
-        out[..., :left] = out[..., left:left + 1]
-        out[..., left + w:] = out[..., left + w - 1:left + w]
-    return out
 
 
 def resize_nearest(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

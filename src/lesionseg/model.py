@@ -84,8 +84,8 @@ class ModelConfig:
         expected = 5 + len(self.rates)
         if len(self.windows) != expected:
             raise ConfigError(
-                f"{len(self.windows)} fusion windows for {expected} score heads "
-                f"(5 blocks + {len(self.rates)} dilated levels)")
+                f"mcdf.windows: expected {expected} windows, one per score head "
+                f"(5 blocks + {len(self.rates)} dilated levels), got {len(self.windows)}")
 
     def head_windows(self, use_bidfl: bool) -> tuple[int, ...]:
         return self.windows if use_bidfl else self.windows[:5]
@@ -104,7 +104,7 @@ def build_params(config: ModelConfig, seed: int, use_bidfl: bool) -> dict[str, T
     """All trainable tensors for one architecture, split-seeded per module."""
     seeds = np.random.SeedSequence(seed).spawn(3)
     seed_ints = [int(s.generate_state(1)[0]) for s in seeds]
-    params = init_backbone_params(config.backbone, seed_ints[0])
+    params = init_backbone_params(config.backbone, seed_ints[0], with_reduce=use_bidfl)
     head_channels = list(config.backbone.channels)
     if use_bidfl:
         params.update(init_bidfl_params(

@@ -13,15 +13,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tensor, clip_min, gradients, log
+from .autodiff import ShapeMismatchError, Tensor, clip_min, gradients, log, pad2d
 from .backbone import ConfigError
-from .data import Sample, pad2d, resize_bilinear, resize_nearest
+from .data import Sample, resize_bilinear, resize_nearest
 from .metrics import MetricEntry, MetricReport, aggregate, compute_metrics, confusion, write_csv
 from .model import ModelConfig, model_forward, predict_mask
 
 
 class TrainingDivergedError(RuntimeError):
-    pass
+    """A non-finite loss; records is the loss log up to and including the
+    iteration that diverged."""
+
+    def __init__(self, message: str, records: list[LossRecord]):
+        super().__init__(message)
+        self.records = records
 
 
 @dataclass(frozen=True)
@@ -41,17 +46,21 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+            raise ConfigError(f"train.base_lr: expected a positive value, got {self.base_lr}")
         if not 0.0 < self.power <= 1.0:
-            raise ConfigError(f"power must be in (0, 1], got {self.power}")
+            raise ConfigError(f"train.power: expected a value in (0, 1], got {self.power}")
         if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigError(f"train.max_iter: expected at least 1, got {self.max_iter}")
         if any(w <= 0 for w in self.class_weights):
-            raise ConfigError(f"class weights must be positive, got {self.class_weights}")
+            raise ConfigError(
+                f"train.class_weights: expected positive values, got {self.class_weights}")
         if self.sigma_sq <= 0:
-            raise ConfigError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if self.batch_size < 1 or not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("batch_size must be >= 1 and momentum in [0, 1)")
+            raise ConfigError(f"mcdf.sigma_sq: expected a positive value, got {self.sigma_sq}")
+        if self.batch_size < 1:
+            raise ConfigError(f"train.batch_size: expected at least 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(
+                f"train.momentum: expected a value in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -226,15 +235,18 @@ def train(dataset: list[Sample], config: TrainConfig) -> tuple[TrainState, list[
         batch = Tensor(np.stack(images))
         labels = one_hot_masks(np.stack(masks))
 
-        loss_value, grads = _loss_and_gradients(batch, labels, state.parameters, config)
-        if grads is None:
-            raise TrainingDivergedError(
-                f"non-finite loss {loss_value} at iteration {it} (lr={lr:.3e}, "
-                f"last finite loss={records[-1].loss if records else float('nan'):.6f})")
-        state = sgd_step(state, grads, lr, momentum=config.momentum)
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite loss
+            loss_value, grads = _loss_and_gradients(batch, labels, state.parameters,
+                                                    config)
+            records.append(LossRecord(iteration=it, lr=lr, loss=loss_value))
+            if grads is None:
+                raise TrainingDivergedError(
+                    f"non-finite loss {loss_value} at iteration {it} (lr={lr:.3e}, "
+                    f"last finite loss={records[-2].loss if it else float('nan'):.6f})",
+                    records)
+            state = sgd_step(state, grads, lr, momentum=config.momentum)
         state.running_loss = (loss_value if it == 0
                               else 0.98 * state.running_loss + 0.02 * loss_value)
-        records.append(LossRecord(iteration=it, lr=lr, loss=loss_value))
     return state, records
 
 

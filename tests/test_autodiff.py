@@ -23,6 +23,7 @@ from lesionseg.autodiff import (
     gradients,
     log,
     max_pool2d,
+    pad2d,
     softmax_channels,
     windowed_variance,
     _as_4d,
@@ -30,10 +31,8 @@ from lesionseg.autodiff import (
     _conv_out_dim,
     _conv_windows,
     _convt_scatter,
-    _edge_pad,
     _im2col_channel_major,
     _kernel_grad,
-    _zero_pad,
 )
 from lesionseg.gradcheck import TINY_MODEL, grad_check
 from lesionseg.model import build_params, model_forward
@@ -656,27 +655,36 @@ class TestConvTranspose2dBytes:
             [np.ascontiguousarray(w).tobytes() for w in want]
 
 
-# (leading axes, height, width, padding): 3-d to 5-d maps, 1-pixel maps, and
-# padding as wide as or wider than the map
-PAD_CASES = [((2,), 5, 7, 2), ((1,), 1, 1, 3), ((3, 2), 4, 4, 1), ((2, 3), 2, 6, 4),
-             ((2, 1, 3), 3, 1, 3), ((1, 2, 2), 6, 5, 0), ((4,), 1, 9, 1)]
-
-
 class TestPadding:
-    @pytest.mark.parametrize("lead, h, w, r", PAD_CASES)
-    def test_zero_pad_matches_np_pad(self, lead, h, w, r):
-        x = signed_zeros(np.random.default_rng(h * w + r), (*lead, h, w))
-        want = np.pad(x, [(0, 0)] * len(lead) + [(r, r), (r, r)])
-        got = _zero_pad(x, r)
+    # 2-d to 5-d maps, 1-pixel maps, padding as wide as or wider than the map,
+    # and a NaN-filled out= buffer that is a view past a first row and column,
+    # as windowed_variance passes it
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 9), st.integers(1, 9),
+           st.tuples(*[st.integers(0, 5)] * 4), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @example(1, 4, 4, (0, 0, 0, 0), True, False, 0)
+    @example(1, 1, 1, (3, 0, 0, 2), True, False, 0)
+    @example(1, 5, 7, (2, 2, 2, 2), False, False, 0)
+    @example(1, 5, 7, (2, 2, 2, 2), True, True, 0)
+    @example(1, 1, 1, (3, 3, 3, 3), False, True, 0)
+    @example(2, 4, 4, (4, 4, 4, 4), True, True, 1)
+    @example(2, 2, 6, (4, 4, 4, 4), False, False, 2)
+    @example(3, 3, 1, (3, 3, 3, 3), True, True, 3)
+    @example(3, 1, 9, (1, 1, 1, 1), False, True, 4)
+    def test_pad2d_matches_np_pad(self, lead, h, w, widths, edge, into, seed):
+        x = signed_zeros(np.random.default_rng(seed), (2,) * lead + (h, w))
+        top, bottom, left, right = widths
+        want = np.pad(x, [(0, 0)] * lead + [(top, bottom), (left, right)],
+                      mode="edge" if edge else "constant")
+        out = None
+        if into:
+            out = np.full((*want.shape[:-2], want.shape[-2] + 1, want.shape[-1] + 1),
+                          np.nan)[..., 1:, 1:]
+        got = pad2d(x, (top, bottom), (left, right), edge=edge, out=out)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("lead, h, w, r", PAD_CASES)
-    def test_edge_pad_matches_np_pad(self, lead, h, w, r):
-        x = signed_zeros(np.random.default_rng(h * w + r), (*lead, h, w))
-        want = np.pad(x, [(0, 0)] * len(lead) + [(r, r), (r, r)], mode="edge")
-        got = np.full(want.shape, np.nan)
-        _edge_pad(got, x, r)
-        assert got.tobytes() == want.tobytes()
+        if into:
+            assert got is out
 
 
 class TestConcat:

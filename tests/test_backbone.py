@@ -29,7 +29,7 @@ def test_config_rejects_wrong_length():
 
 
 def test_desk_shape_chain():
-    params = init_params(DESK, seed=0)
+    params = init_params(DESK, seed=0, with_reduce=True)
     feats = backbone_forward(Tensor(np.zeros((3, 64, 64))), DESK, params)
     dims = [f.shape for f in feats.per_block]
     assert dims == [(8, 64, 64), (16, 32, 32), (32, 16, 16),
@@ -62,7 +62,7 @@ def test_shape_chain_random_configs():
 
 
 def test_zero_image_zero_features():
-    params = init_params(DESK, seed=5)
+    params = init_params(DESK, seed=5, with_reduce=True)
     feats = backbone_forward(Tensor(np.zeros((3, 32, 32))), DESK, params)
     for f in feats.per_block:
         assert not f.data.any()
@@ -74,10 +74,27 @@ def test_forward_deterministic():
     image = rng.random((3, 32, 32))
     outs = []
     for _ in range(2):
-        feats = backbone_forward(Tensor(image), DESK, init_params(DESK, seed=9))
+        feats = backbone_forward(Tensor(image), DESK,
+                                 init_params(DESK, seed=9, with_reduce=True))
         outs.append([f.data.copy() for f in feats.per_block] + [feats.reduced.data])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
+
+
+def test_reduction_is_built_and_run_only_on_request():
+    # the reduce kernel is the last draw, so the blocks do not depend on it
+    with_reduce = init_params(DESK, seed=2, with_reduce=True)
+    without = init_params(DESK, seed=2)
+    assert sorted(with_reduce) == sorted(without) + ["backbone.reduce.bias",
+                                                     "backbone.reduce.kernel"]
+    assert all(np.array_equal(without[n].data, with_reduce[n].data) for n in without)
+    image = Tensor(np.random.default_rng(1).random((3, 32, 32)))
+    feats = backbone_forward(image, DESK, without)
+    assert feats.reduced is None
+    full = backbone_forward(image, DESK, with_reduce)
+    assert full.reduced.shape == (16, 8, 8)
+    for a, b in zip(feats.per_block, full.per_block):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_divisibility_error():

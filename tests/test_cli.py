@@ -52,6 +52,16 @@ def run_cli(*args):
     return main(list(args))
 
 
+def run_cli_process(*args):
+    """The CLI in a separate process, so a warning reaches stderr as it would
+    for a user."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "lesionseg.cli", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+
+
 def sets(extra=()):
     out = []
     for item in (*TINY_OVERRIDES, *extra):
@@ -174,13 +184,35 @@ class TestExitCodes:
         ("gen-data", "train.split=1.5", "train.split: expected a value in (0, 1), got 1.5"),
         ("gen-data", "seed=-1", "seed: expected at least 0, got '-1'"),
         ("train", "seed=-1", "seed: expected at least 0, got '-1'"),
-        ("gen-data", "synth.count=0", "synth.count: expected at least 1, got '0'"),
-        ("gen-data", "synth.size=7", "synth.size: expected at least 8, got '7'"),
-        ("train", "train.batch_size=0", "train.batch_size: expected at least 1, got '0'"),
+        ("gen-data", "synth.count=0", "synth.count: expected at least 1, got 0"),
+        ("gen-data", "synth.size=7", "synth.size: expected at least 8, got 7"),
+        ("gen-data", "synth.noise_std=-1", "synth.noise_std: expected at least 0, got -1.0"),
+        ("gen-data", "synth.hair_prob=2",
+         "synth.hair_prob: expected a value in [0, 1], got 2.0"),
+        ("gen-data", "synth.lesion_fraction=0.5,0.2",
+         "synth.lesion_fraction: expected 0 < lo < hi < 1, got (0.5, 0.2)"),
+        ("gen-data", "synth.contrast=0.6,0.2",
+         "synth.contrast: expected 0 <= lo <= hi, got (0.6, 0.2)"),
+        ("train", "train.batch_size=0", "train.batch_size: expected at least 1, got 0"),
         ("train", "train.momentum=1.0",
-         "train.momentum: expected a value in [0, 1), got '1.0'"),
+         "train.momentum: expected a value in [0, 1), got 1.0"),
         ("train", "train.momentum=-0.5",
-         "train.momentum: expected a value in [0, 1), got '-0.5'"),
+         "train.momentum: expected a value in [0, 1), got -0.5"),
+        ("train", "train.max_iter=0", "train.max_iter: expected at least 1, got 0"),
+        ("train", "train.base_lr=0", "train.base_lr: expected a positive value, got 0.0"),
+        ("train", "train.power=1.5", "train.power: expected a value in (0, 1], got 1.5"),
+        ("train", "train.class_weights=0.8,0",
+         "train.class_weights: expected positive values, got (0.8, 0.0)"),
+        ("train", "mcdf.sigma_sq=0", "mcdf.sigma_sq: expected a positive value, got 0.0"),
+        ("train", "mcdf.windows=3,3,3",
+         "mcdf.windows: expected 7 windows, one per score head "
+         "(5 blocks + 2 dilated levels), got 3"),
+        ("train", "backbone.channels=4,6,6", "backbone.channels: expected 5 values, got 3"),
+        ("train", "backbone.channels=4,0,6,6,6",
+         "backbone.channels: expected positive values, got (4, 0, 6, 6, 6)"),
+        ("train", "backbone.strides=3,2,2,1,1",
+         "backbone.strides: expected each 1 or 2, got (3, 2, 2, 1, 1)"),
+        ("train", "backbone.reduce=0", "backbone.reduce: expected at least 1, got 0"),
     ])
     def test_out_of_range_setting_fails_before_any_write(self, workspace, tmp_path,
                                                          capsys, command, setting,
@@ -552,20 +584,29 @@ class TestWorkflow:
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("empty", [False, True], ids=["missing", "empty"])
     def test_no_dataset_is_one_stderr_line(self, workspace, tmp_path, command, empty):
-        # a separate process, so a warning reaches stderr as it would for a user
         _, _, run = workspace
         data = tmp_path / "data"
         if empty:
             data.mkdir()
         args = ["--checkpoint", str(run / "checkpoint.ckpt")] if command == "eval" else []
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "lesionseg.cli", command, *args,
-             "--data", str(data), "--out", str(tmp_path / "out"), *sets()],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = run_cli_process(command, *args, "--data", str(data),
+                               "--out", str(tmp_path / "out"), *sets())
         assert proc.returncode == 2
         assert proc.stderr == f"error: no samples under {data}\n"
+
+    def test_diverged_run_writes_its_loss_log_and_one_stderr_line(self, workspace,
+                                                                   tmp_path):
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        proc = run_cli_process("train", "--data", str(data), "--out", str(out),
+                               *sets(["train.base_lr=1e300"]))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: non-finite loss nan at iteration 1 (")
+        assert proc.stderr.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["loss_log.csv"]   # no checkpoint
+        log = (out / "loss_log.csv").read_text().splitlines()
+        assert log[0] == "iter,lr,loss" and log[1].startswith("0,1.0000000000000001e+300,")
+        assert len(log) == 3 and log[2].startswith("1,") and log[2].endswith(",nan")
 
     def test_train_deterministic_checkpoints(self, workspace, tmp_path):
         _, data, run = workspace
@@ -584,7 +625,29 @@ class TestWorkflow:
                        "--ablation", "baseline", *sets()) == 0
         params, echo = load_checkpoint(out / "checkpoint.ckpt")
         assert echo["train.use_bidfl"] == "false"
-        assert not any(name.startswith("bidfl.") for name in params)
+        assert not any(name.startswith(("bidfl.", "backbone.reduce.")) for name in params)
+
+    @pytest.mark.parametrize("ablation", ["baseline", "mcdf"])
+    def test_bankless_checkpoint_with_a_reduce_layer_is_rejected(
+            self, workspace, tmp_path, capsys, ablation):
+        # checkpoints of the cells without the bank once stored the unused
+        # 1x1 reduction; such a file names its first extra record
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        assert run_cli("train", "--data", str(data), "--out", str(out),
+                       "--ablation", ablation, *sets()) == 0
+        params, echo = load_checkpoint(out / "checkpoint.ckpt")
+        params["backbone.reduce.kernel"] = Tensor(np.ones((4, 6, 1, 1)))
+        params["backbone.reduce.bias"] = Tensor(np.zeros(4))
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, params, echo)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(old), "--data", str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: unexpected parameter backbone.reduce.bias\n")
+        assert not (tmp_path / "e").exists()
 
 
 def _eval_summary(out, workspace):

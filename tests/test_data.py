@@ -15,7 +15,6 @@ from lesionseg.data import (
     gen_synthetic,
     load_dataset,
     load_images,
-    pad2d,
     read_manifest,
     resize_bilinear,
     resize_nearest,
@@ -182,18 +181,6 @@ class TestByteIdentity:
         got = _smooth_field(np.random.default_rng(seed), size, cells)
         want = oracle_smooth_field(np.random.default_rng(seed), size, cells)
         assert same_bytes(got, want)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2), st.integers(1, 9), st.integers(1, 9),
-           st.tuples(*[st.integers(0, 5)] * 4), st.booleans(), st.integers(0, 2**32 - 1))
-    @example(1, 4, 4, (0, 0, 0, 0), True, 0)
-    @example(1, 1, 1, (3, 0, 0, 2), True, 0)
-    def test_pad2d_matches_np_pad(self, lead, h, w, widths, edge, seed):
-        x = signed_zeros(np.random.default_rng(seed), (2,) * lead + (h, w))
-        top, bottom, left, right = widths
-        want = np.pad(x, [(0, 0)] * lead + [(top, bottom), (left, right)],
-                      mode="edge" if edge else "constant")
-        assert same_bytes(pad2d(x, (top, bottom), (left, right), edge=edge), want)
 
     def test_apply_augment_over_200_draws(self):
         rng = np.random.default_rng(11)

@@ -2,11 +2,12 @@
 module reads the environment (every setting is a config key or an option),
 every public function of the engine serves the package, not only tests,
 every file the package writes goes through backbone.atomic_write,
-nothing calls np.pad, whose per-call set-up costs more than the fill, and
-only model.py starts threads. The engine shares arrays between nodes and
-relies on nothing writing into an array a node has read; predict_mask's one
-worker keeps that by sharing only detached parameters and the features this
-thread hands it, and a thread elsewhere would need the same proof."""
+nothing calls np.pad, whose per-call set-up costs more than the fill,
+autodiff.pad2d is the one fill helper, and only model.py starts threads.
+The engine shares arrays between nodes and relies on nothing writing into
+an array a node has read; predict_mask's one worker keeps that by sharing
+only detached parameters and the features this thread hands it, and a
+thread elsewhere would need the same proof."""
 
 import ast
 from pathlib import Path
@@ -175,6 +176,13 @@ def test_detects_np_pad():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_np_pad(path):
     assert np_pad_calls(path.read_text()) == []
+
+
+def test_pad2d_is_the_only_fill_helper():
+    defined = [(path.name, node.name) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and "pad" in node.name]
+    assert defined == [("autodiff.py", "pad2d")]
 
 
 CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}

@@ -98,14 +98,22 @@ class ReadLog(dict):
         return super().__getitem__(name)
 
 
+# (use_bidfl, use_mcdf) of the four ablation cells
+CELLS = pytest.mark.parametrize("use_bidfl, use_mcdf", [
+    (True, True), (False, False), (True, False), (False, True)],
+    ids=["full", "baseline", "bidfl", "mcdf"])
+
+
 @pytest.mark.parametrize("fusion", FUSION_STRATEGIES)
-@pytest.mark.parametrize("use_bidfl", [False, True])
-def test_forward_reads_exactly_the_built_parameters(use_bidfl, fusion):
+@CELLS
+def test_forward_reads_exactly_the_built_parameters(use_bidfl, use_mcdf, fusion):
     # a layer built and never read, or read and never built, breaks this
     config = replace(TINY, fusion=fusion)
     params = ReadLog(build_params(config, seed=0, use_bidfl=use_bidfl))
-    model_forward(Tensor(np.zeros((3, 32, 32))), params, config, use_bidfl, True, 10.0)
+    model_forward(Tensor(np.zeros((3, 32, 32))), params, config, use_bidfl, use_mcdf,
+                  10.0)
     assert params.read == set(params)
+    assert ("backbone.reduce.kernel" in params) == use_bidfl
 
 
 def test_forward_batched_matches_single():
@@ -288,21 +296,21 @@ def test_training_step_leaves_no_reference_cycles():
         gc.enable()
 
 
-def desk_loss(full):
+def desk_loss(use_bidfl, use_mcdf):
     """The benchmark model's parameters and the loss of one 4-image 64x64
     training batch, its graph not yet walked."""
     tc = train_config(parse_config(str(DESK_CFG)))
-    params = build_params(tc.model, seed=3, use_bidfl=full)
+    params = build_params(tc.model, seed=3, use_bidfl=use_bidfl)
     rng = np.random.default_rng(5)
     image = Tensor(rng.random((4, 3, 64, 64)))
     labels = one_hot_masks((rng.random((4, 1, 64, 64)) > 0.7).astype(float))
-    _, probs, _ = model_forward(image, params, tc.model, full, full, tc.sigma_sq)
+    _, probs, _ = model_forward(image, params, tc.model, use_bidfl, use_mcdf, tc.sigma_sq)
     return params, weighted_ce_loss(probs, labels, tc.class_weights)
 
 
-@pytest.mark.parametrize("full", [True, False], ids=["full", "baseline"])
-def test_backward_releases_the_desk_graph(full):
-    params, loss = desk_loss(full)
+@CELLS
+def test_backward_releases_the_desk_graph(use_bidfl, use_mcdf):
+    params, loss = desk_loss(use_bidfl, use_mcdf)
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -314,11 +322,10 @@ def test_backward_releases_the_desk_graph(full):
     grads = gradients(loss, params)
     interior = [n for n in nodes.values() if n._op != "leaf"]
     assert all(n.grad is None and n._backward is None for n in interior)
-    # the baseline cell computes the reduced top-layer map but never reads it
-    unused = set() if full else {"backbone.reduce.kernel", "backbone.reduce.bias"}
-    assert {name for name, p in params.items() if id(p) not in nodes} == unused
+    # every parameter the cell builds is on its loss's graph
+    assert all(id(p) in nodes for p in params.values())
     assert all(p.grad is not None and grads[name] is p.grad
-               for name, p in params.items() if name not in unused)
+               for name, p in params.items())
 
 
 @pytest.mark.parametrize("full, bound_mb", [(True, 45), (False, 38)],
@@ -332,7 +339,7 @@ def test_desk_training_step_peak_memory(full, bound_mb):
     at about 154 and 83 MB."""
     tracemalloc.start()
     try:
-        params, loss = desk_loss(full)
+        params, loss = desk_loss(full, full)
         gradients(loss, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -211,8 +211,13 @@ class TestTrainLoop:
         ds[0] = Sample(image=Tensor(poisoned), mask=ds[0].mask, id=ds[0].id)
         cfg = TrainConfig(model=TINY, base_lr=0.05, max_iter=20, seed=1,
                           batch_size=len(ds))
-        with pytest.raises(TrainingDivergedError, match="iteration"):
+        with pytest.raises(TrainingDivergedError, match="iteration") as err:
             train(ds, cfg)
+        # the loss log ends with the iteration that diverged
+        *finite, last = err.value.records
+        assert [r.iteration for r in err.value.records] == list(range(len(finite) + 1))
+        assert np.isfinite([r.loss for r in finite]).all() and np.isnan(last.loss)
+        assert f"iteration {last.iteration} " in str(err.value)
 
     def test_loss_log_roundtrip(self, tmp_path):
         records = [LossRecord(0, 1e-3, 0.7), LossRecord(1, 9e-4, 0.65)]
