@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ConvParams, Tensor, concat_channels, conv2d
-from .backbone import ConfigError, add_conv, conv_params, he_kernel
+from .backbone import add_conv, conv_params, he_kernel
 
 FUSION_STRATEGIES = ("concat_all", "ends", "sum")
 
@@ -25,13 +25,6 @@ FUSION_STRATEGIES = ("concat_all", "ends", "sum")
 class DilatedBank:
     rates: tuple[int, ...]
     maps: list[Tensor]
-
-    def __post_init__(self):
-        if len(self.rates) != len(self.maps) or not self.maps:
-            raise ConfigError(
-                f"{len(self.rates)} rates for {len(self.maps)} maps")
-        if any(lo >= hi for lo, hi in zip(self.rates, self.rates[1:])):
-            raise ConfigError(f"dilation rates must be strictly ascending: {self.rates}")
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -46,21 +39,9 @@ class BidflParams:
     fuse_reducer: ConvParams | None
     rates: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        j = len(self.bank_convs)
-        if len(self.forward_reducers) != j - 1 or len(self.backward_reducers) != j - 1:
-            raise ConfigError(
-                f"need {j - 1} reducers per direction for a {j}-level bank, got "
-                f"{len(self.forward_reducers)} forward / {len(self.backward_reducers)} backward")
-        if len(self.level_reducers) != j:
-            raise ConfigError(
-                f"need {j} per-level reducers, got {len(self.level_reducers)}")
-
 
 def init_bidfl_params(in_channels: int, bank_channels: int, rates: tuple[int, ...],
                       seed: int, fusion: str = "concat_all") -> dict[str, Tensor]:
-    if fusion not in FUSION_STRATEGIES:
-        raise ConfigError(f"unknown fusion strategy {fusion!r}")
     rng = np.random.default_rng(seed)
     j, c = len(rates), bank_channels
     params: dict[str, Tensor] = {}
@@ -120,20 +101,13 @@ def backward_pass(bank: DilatedBank, params: BidflParams,
 def fuse_bidirectional(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams,
                        strategy: str = "concat_all", apply_relu: bool = True) -> Tensor:
     """Merge the two refined sequences into one bank-channel feature map."""
-    if strategy == "concat_all":
-        merged = concat_channels(list(fwd) + list(bwd))
-        return conv2d(merged, params.fuse_reducer, relu=apply_relu)
-    if strategy == "ends":
-        merged = concat_channels([fwd[-1], bwd[0]])
-        return conv2d(merged, params.fuse_reducer, relu=apply_relu)
     if strategy == "sum":
         out = fwd[0]
-        for m in fwd[1:]:
-            out = out + m
-        for m in bwd:
+        for m in [*fwd[1:], *bwd]:
             out = out + m
         return out
-    raise ConfigError(f"unknown fusion strategy {strategy!r}")
+    merged = [*fwd, *bwd] if strategy == "concat_all" else [fwd[-1], bwd[0]]
+    return conv2d(concat_channels(merged), params.fuse_reducer, relu=apply_relu)
 
 
 def per_level_maps(fwd: list[Tensor], bwd: list[Tensor], params: BidflParams,

@@ -112,8 +112,9 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> dict[s
     # image_size sets no field and no dataclass checks seed; each dataclass
     # checks the ranges of its own fields
     for key, least in (("image_size", 1), ("seed", 0)):
-        if config_value(config, key) < least:
-            raise ConfigError(f"{key}: expected at least {least}, got {config[key]!r}")
+        value = config_value(config, key)
+        if value < least:
+            raise ConfigError(f"{key}: expected at least {least}, got {value}")
     return config
 
 
@@ -201,7 +202,10 @@ def _load_model(path: str) -> tuple[dict, ModelConfig, bool, bool, float]:
     """Checkpoint parameters and the model they belong to: every parameter
     the echoed architecture builds, with its shape, and no other."""
     params, echo = load_checkpoint(path)
-    mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
+    try:
+        mc, use_bidfl, use_mcdf, sigma_sq = config_from_echo(echo)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: checkpoint echo: {err}") from None
     expected = {name: p.shape for name, p in build_params(mc, 0, use_bidfl).items()}
     for name in sorted(expected.keys() | params.keys()):
         if name not in params:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .autodiff import (
     ConvParams,
-    ShapeMismatchError,
     Tensor,
     conv2d,
     conv_transpose2d,
@@ -29,10 +28,6 @@ from .backbone import BlockFeatures, ConfigError, add_conv, conv_params, he_kern
 NUM_CLASSES = 2
 
 
-class NonpositiveSigmaError(ValueError):
-    pass
-
-
 @dataclass
 class ScoreStack:
     maps: list[Tensor]
@@ -40,24 +35,11 @@ class ScoreStack:
     sigma_sq: float
 
     def __post_init__(self):
-        if not self.maps:
-            raise ConfigError("score stack needs at least one map")
-        if len(self.windows) != len(self.maps):
-            raise ConfigError(
-                f"{len(self.windows)} windows for {len(self.maps)} score maps")
-        shape = self.maps[0].shape
-        for i, m in enumerate(self.maps):
-            if m.shape != shape:
-                raise ShapeMismatchError(
-                    f"score map {i} shape {m.shape} != map 0 shape {shape}")
-        h, w = shape[-2], shape[-1]
+        # the image size sets the maps' extent, so no config key can check this
+        h, w = self.maps[0].shape[-2:]
         for l in self.windows:
-            if l < 1 or l % 2 == 0:
-                raise ConfigError(f"windows must be odd and >= 1, got {l}")
             if l > min(h, w):
                 raise ConfigError(f"window {l} exceeds map extent {h}x{w}")
-        if self.sigma_sq <= 0:
-            raise NonpositiveSigmaError(f"sigma_sq must be positive, got {self.sigma_sq}")
 
 
 def fuse_scores(stack: ScoreStack, stop_grad_alpha: bool = False) -> Tensor:
@@ -105,9 +87,6 @@ def bilinear_kernel(channels: int, factor: int) -> np.ndarray:
 def init_head_params(source_channels: list[int], factors: list[int],
                      seed: int) -> dict[str, Tensor]:
     """He-init 1x1 classifiers; upsampling starts as bilinear interpolation."""
-    if len(source_channels) != len(factors):
-        raise ConfigError(
-            f"{len(source_channels)} sources for {len(factors)} factors")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for k, (in_c, f) in enumerate(zip(source_channels, factors)):
@@ -144,13 +123,10 @@ def score_heads(blocks: BlockFeatures, fused_bidfl: Tensor | None,
     Sources are the five block outputs followed by the per-level maps; when
     the bidirectional module is active its fused output replaces the raw
     block-5 feature, so the top-layer head reads the enhanced representation.
-    ScoreStack checks the window count and that every map has one shape.
     """
     sources = list(blocks.per_block)
     if fused_bidfl is not None:
         sources[4] = fused_bidfl
     sources.extend(per_level)
-    if len(sources) != len(params):
-        raise ConfigError(f"{len(sources)} head inputs for {len(params)} heads")
     maps = [classify_upsample(src, head) for src, head in zip(sources, params)]
     return ScoreStack(maps=maps, windows=tuple(windows), sigma_sq=sigma_sq)

@@ -18,6 +18,7 @@ from .backbone import (
     init_params as init_backbone_params,
 )
 from .bidfl import (
+    FUSION_STRATEGIES,
     backward_pass,
     bidfl_params_from,
     dilated_bank,
@@ -81,11 +82,26 @@ class ModelConfig:
     bank_relu: bool = True
 
     def __post_init__(self):
+        # the forward sweep runs from the smallest rate outward
+        if not self.rates or self.rates[0] < 1 \
+                or any(lo >= hi for lo, hi in zip(self.rates, self.rates[1:])):
+            raise ConfigError(
+                f"bank.rates: expected strictly ascending values, each at least 1, "
+                f"got {self.rates}")
+        if self.bank_channels < 1:
+            raise ConfigError(f"bank.channels: expected at least 1, got {self.bank_channels}")
+        if self.fusion not in FUSION_STRATEGIES:
+            raise ConfigError(f"bidfl.fusion: expected one of "
+                              f"{', '.join(FUSION_STRATEGIES)}, got {self.fusion!r}")
         expected = 5 + len(self.rates)
         if len(self.windows) != expected:
             raise ConfigError(
                 f"mcdf.windows: expected {expected} windows, one per score head "
                 f"(5 blocks + {len(self.rates)} dilated levels), got {len(self.windows)}")
+        # a consistency window is centred on its pixel
+        if any(l < 1 or l % 2 == 0 for l in self.windows):
+            raise ConfigError(
+                f"mcdf.windows: expected odd values, each at least 1, got {self.windows}")
 
     def head_windows(self, use_bidfl: bool) -> tuple[int, ...]:
         return self.windows if use_bidfl else self.windows[:5]
@@ -206,8 +222,5 @@ def config_echo(config: ModelConfig, use_bidfl: bool, use_mcdf: bool,
 
 
 def config_from_echo(echo: dict[str, str]) -> tuple[ModelConfig, bool, bool, float]:
-    try:
-        run = build("train", ECHO_KEYS, echo)
-    except ConfigError as err:
-        raise ConfigError(f"checkpoint echo: {err}") from None
+    run = build("train", ECHO_KEYS, echo)
     return run.model, run.use_bidfl, run.use_mcdf, run.sigma_sq

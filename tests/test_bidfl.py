@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import ConvParams, Tensor, concat_channels, conv2d
-from lesionseg.backbone import ConfigError
 from lesionseg.bidfl import (
     BidflParams,
     DilatedBank,
@@ -62,11 +60,6 @@ def test_zero_input_zero_bank():
     bank = dilated_bank(Tensor(np.zeros((4, 8, 8))), p)
     for m in bank.maps:
         assert not m.data.any()
-
-
-def test_rates_must_ascend():
-    with pytest.raises(ConfigError):
-        DilatedBank(rates=(2, 1), maps=[Tensor(np.zeros((1, 2, 2)))] * 2)
 
 
 def test_forward_pass_single_level_is_identity():
@@ -244,12 +237,3 @@ def test_composite_gradient():
 
     err = grad_check(pipeline, Tensor(rng.standard_normal((2, 4, 4))))
     assert err < 1e-4
-
-
-def test_reducer_count_mismatch_error():
-    _, p = build((1, 2, 3))
-    with pytest.raises(ConfigError):
-        BidflParams(bank_convs=p.bank_convs, forward_reducers=p.forward_reducers[:1],
-                    backward_reducers=p.backward_reducers,
-                    level_reducers=p.level_reducers, fuse_reducer=p.fuse_reducer,
-                    rates=(1, 2, 3))

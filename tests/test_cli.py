@@ -1,17 +1,26 @@
 import contextlib
 import filecmp
+import io
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionseg import gradcheck
 from lesionseg.autodiff import Tensor
-from lesionseg.backbone import ConfigError, load_checkpoint, save_checkpoint
+from lesionseg.backbone import (
+    CHECKPOINT_MAGIC,
+    ConfigError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
 from lesionseg.data import (
     load_dataset,
@@ -182,8 +191,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, setting, message", [
         ("gen-data", "train.split=1.5", "train.split: expected a value in (0, 1), got 1.5"),
-        ("gen-data", "seed=-1", "seed: expected at least 0, got '-1'"),
-        ("train", "seed=-1", "seed: expected at least 0, got '-1'"),
+        ("gen-data", "seed=-1", "seed: expected at least 0, got -1"),
+        ("train", "seed=-1", "seed: expected at least 0, got -1"),
         ("gen-data", "synth.count=0", "synth.count: expected at least 1, got 0"),
         ("gen-data", "synth.size=7", "synth.size: expected at least 8, got 7"),
         ("gen-data", "synth.noise_std=-1", "synth.noise_std: expected at least 0, got -1.0"),
@@ -207,6 +216,15 @@ class TestExitCodes:
         ("train", "mcdf.windows=3,3,3",
          "mcdf.windows: expected 7 windows, one per score head "
          "(5 blocks + 2 dilated levels), got 3"),
+        ("train", "mcdf.windows=3,3,3,5,7,3,4",
+         "mcdf.windows: expected odd values, each at least 1, got (3, 3, 3, 5, 7, 3, 4)"),
+        ("train", "bank.rates=2,1",
+         "bank.rates: expected strictly ascending values, each at least 1, got (2, 1)"),
+        ("train", "bank.rates=0,1",
+         "bank.rates: expected strictly ascending values, each at least 1, got (0, 1)"),
+        ("train", "bank.channels=0", "bank.channels: expected at least 1, got 0"),
+        ("train", "bidfl.fusion=foo",
+         "bidfl.fusion: expected one of concat_all, ends, sum, got 'foo'"),
         ("train", "backbone.channels=4,6,6", "backbone.channels: expected 5 values, got 3"),
         ("train", "backbone.channels=4,0,6,6,6",
          "backbone.channels: expected positive values, got (4, 0, 6, 6, 6)"),
@@ -234,7 +252,7 @@ class TestExitCodes:
                        "--set", f"image_size={size}")
         assert code == 2
         assert capsys.readouterr().err == \
-            f"error: image_size: expected at least 1, got {size!r}\n"
+            f"error: image_size: expected at least 1, got {size}\n"
         assert not out.exists()
 
 
@@ -286,7 +304,8 @@ class TestWorkflow:
         code = run_cli("eval", "--checkpoint", str(tmp_path / "bad.ckpt"),
                        "--data", str(data), "--out", str(tmp_path / "e"), *sets())
         assert code == 2
-        assert capsys.readouterr().err == f"error: checkpoint echo: {key}: missing\n"
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'bad.ckpt'}: checkpoint echo: {key}: missing\n"
 
     def test_eval_rejects_echo_bad_value(self, workspace, tmp_path, capsys):
         _, data, run = workspace
@@ -298,6 +317,55 @@ class TestWorkflow:
                        "--data", str(data), "--out", str(tmp_path / "e"), *sets())
         assert code == 2
         assert "train.seed: expected int, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("bank.rates", "2,1",
+         "bank.rates: expected strictly ascending values, each at least 1, got (2, 1)"),
+        ("bidfl.fusion", "concat_alX",
+         "bidfl.fusion: expected one of concat_all, ends, sum, got 'concat_alX'"),
+        ("mcdf.windows", "3,3,3,5,4,3,3",
+         "mcdf.windows: expected odd values, each at least 1, got (3, 3, 3, 5, 4, 3, 3)"),
+        ("mcdf.sigma_sq", "-1.0", "mcdf.sigma_sq: expected a positive value, got -1.0"),
+        ("bank.channels", None, "bank.channels: missing"),
+    ])
+    def test_bad_echo_names_checkpoint_and_key(self, workspace, tmp_path, capsys, command,
+                                                key, value, message):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        if value is None:
+            del echo[key]
+        else:
+            echo[key] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, echo)
+        capsys.readouterr()
+        source = "--data" if command == "eval" else "--input"
+        code = run_cli(command, "--checkpoint", str(bad), source, str(data),
+                       "--out", str(tmp_path / "e"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: checkpoint echo: {message}\n"
+        assert not (tmp_path / "e").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_changed_echo_byte_runs_or_names_the_checkpoint(self, workspace, choice):
+        root, data, run = workspace
+        blob = (run / "checkpoint.ckpt").read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8    # after the magic, version and echo length
+        (length,) = struct.unpack("<I", blob[start - 4:start])
+        at = start + choice.draw(st.integers(0, length - 1), label="offset")
+        byte = choice.draw(st.integers(0, 255), label="byte")
+        bad = root / "changed.ckpt"
+        bad.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("eval", "--checkpoint", str(bad), "--data", str(data),
+                           "--out", str(root / "changed-eval"), *sets())
+        err = stderr.getvalue()
+        if code != 0:
+            assert code == 2
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("offset", [10, 5000, -1])

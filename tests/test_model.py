@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionseg import model
 from lesionseg.autodiff import Tensor, gradients
@@ -60,6 +62,39 @@ def test_published_constants():
 def test_window_count_validation():
     with pytest.raises(ConfigError):
         ModelConfig(backbone=BackboneConfig(), rates=(1, 2), windows=(3, 3, 3))
+
+
+@st.composite
+def accepted_configs(draw, size):
+    """A small ModelConfig that constructs, for size x size images: each
+    window fits the full-resolution score maps."""
+    rates = tuple(sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3))))
+    windows = draw(st.lists(st.sampled_from(range(1, size + 1, 2)),
+                            min_size=5 + len(rates), max_size=5 + len(rates)))
+    return ModelConfig(
+        backbone=BackboneConfig(channels=(2, 3, 3, 3, 3), strides=(1, 2, 2, 1, 1),
+                                reduce_channels=2),
+        rates=rates, bank_channels=draw(st.integers(1, 3)), windows=tuple(windows),
+        fusion=draw(st.sampled_from(FUSION_STRATEGIES)),
+        reducer_relu=draw(st.booleans()), bank_relu=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(accepted_configs(size=8), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_accepted_config_runs_in_every_cell(config, use_bidfl, use_mcdf, seed):
+    # ModelConfig is the only check of the model keys, so whatever it accepts
+    # the builders and the forward pass must run
+    rng = np.random.default_rng(seed)
+    params = build_params(config, seed, use_bidfl)
+    image = Tensor(rng.random((2, 3, 8, 8)))
+    labels = one_hot_masks((rng.random((2, 1, 8, 8)) > 0.5).astype(float))
+    _, probs, _ = model_forward(image, params, config, use_bidfl, use_mcdf, 10.0)
+    loss = weighted_ce_loss(probs, labels, (0.8, 0.2))
+    gradients(loss, params)
+    assert np.isfinite(loss.data).all()
+    mask = predict_mask(Tensor(image.data[0]), params, config, use_bidfl, use_mcdf, 10.0)
+    assert mask.shape == (8, 8)
+    assert np.isin(mask, (0.0, 1.0)).all()
 
 
 def test_param_sets_differ_by_ablation():
