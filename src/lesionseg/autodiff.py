@@ -7,10 +7,13 @@ calling ``backward()`` on a scalar result walks the graph once in reverse
 topological order and accumulates exact gradients into every reachable
 tensor that has ``requires_grad`` set.
 
-Backward consumes the graph: once an interior node's rules have run, it
-drops its gradient, its rules and its links to its inputs, so a step's
-memory is released as the walk goes. Leaves (parameters, probes) keep their
-gradients. A second backward through a consumed node raises SpentGraphError.
+Backward consumes the graph: as an interior node's rules run, it drops its
+gradient, its rules and its links to its inputs, so a step's memory is
+released as the walk goes. The walk keeps no reference to the gradient it
+hands a node's rules, so a rule that is done with it frees it (conv2d's
+ReLU mask drops the unmasked gradient). Leaves (parameters, probes) keep
+their gradients. A second backward through a consumed node raises
+SpentGraphError.
 
 Each operation gives its forward value and one gradient rule per input to
 ``_node``; a result of inputs that need no gradient records no graph.
@@ -24,12 +27,22 @@ Rules also read their inputs' arrays when backward runs (conv2d's kernel rule
 rebuilds its im2col columns from the input), so nothing may write into an
 array that a recorded node has read.
 
+Backward runs on two threads. A leaf rule is a rule whose input is a leaf
+(a conv kernel or bias, say): one node's leaf rules go to a worker thread
+as one task, and the walk goes on with the node's other rules. The no-write
+rule is what makes that safe, since the worker's leaf rules and the
+caller's rules read the same gradient ``g`` at once. Leaves are accumulated
+only on the worker, one task at a time in walk order, so every leaf
+gradient is summed in the order a one-thread walk sums it.
+
 All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
 scratch on every forward pass.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -59,6 +72,10 @@ class SpentGraphError(ValueError):
 
 
 Vjp = Callable[[np.ndarray], np.ndarray]
+
+# The running walk's hand-off to its worker. Rules stay one-argument
+# callables, so a node's _backward reaches the worker through this variable.
+_leaf_tasks: ContextVar[Callable[[Callable[[], None]], None]] = ContextVar("_leaf_tasks")
 
 
 class Tensor:
@@ -96,12 +113,19 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         self.grad = g if self.grad is None else self.grad + g
 
+    def _take_grad(self) -> np.ndarray | None:
+        g, self.grad = self.grad, None
+        return g
+
     def backward(self) -> None:
         """Accumulate gradients of this scalar into all ancestor tensors.
 
         Consumes the graph: every interior node drops its gradient, rules and
-        input links once its rules have run, and a later backward() through
-        any of them raises SpentGraphError. Leaves keep their gradients.
+        input links as its rules run, and a later backward() through any of
+        them raises SpentGraphError. Leaves keep their gradients.
+        The leaf rules run on one worker thread, started by the first of them
+        and joined before this returns or raises; a leaf rule's error is
+        raised here.
         """
         if self.data.size != 1:
             raise NonScalarRootError(
@@ -126,13 +150,31 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        # pop rather than iterate, so a released node is not kept alive
-        while topo:
-            node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = node._backward = None
-                node._parents = ()
+        with ThreadPoolExecutor(1) as worker:
+            pending: list[Future] = []
+
+            def submit(task: Callable[[], None]) -> None:
+                # one task at a time: a queue would keep every waiting task's
+                # gradient alive. The task runs in this thread's context, so
+                # np.errstate reaches it.
+                if pending:
+                    pending.pop().result()
+                pending.append(worker.submit(copy_context().run, task))
+
+            token = _leaf_tasks.set(submit)
+            try:
+                # pop rather than iterate, so a released node is not kept alive
+                while topo:
+                    node = topo.pop()
+                    if node._backward is not None:
+                        rules, node._backward, node._parents = node._backward, None, ()
+                        # the gradient goes to the rules with no other reference
+                        # left, so a rule may free it before it returns
+                        rules(node._take_grad())
+                if pending:
+                    pending.pop().result()
+            finally:
+                _leaf_tasks.reset(token)
 
     # -- elementwise arithmetic (numpy broadcasting, gradients summed back) --
 
@@ -165,19 +207,28 @@ def _node(op: str, value: np.ndarray, parents: tuple[Tensor, ...],
     """One operation's result: value, where vjps[i](g) is parents[i]'s gradient.
 
     A result whose parents need no gradient is a plain tensor. A vjp must not
-    reach the result itself, or the graph becomes a reference cycle.
+    reach the result itself, or the graph becomes a reference cycle. The
+    rules of leaf parents run on the walk's worker, the others on the caller.
     """
     live = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
     if not live:
         return Tensor(value, _op=op)
     out = Tensor(value, requires_grad=True, _op=op)
     out._parents = parents
+    leaf = [(p, vjp) for p, vjp in live if p._op == "leaf"]
+    inner = [(p, vjp) for p, vjp in live if p._op != "leaf"]
 
     def _backward(g: np.ndarray) -> None:
-        for p, vjp in live:
-            p._accum(vjp(g))
+        if leaf:
+            _leaf_tasks.get()(lambda: _accum_rules(leaf, g))
+        _accum_rules(inner, g)
     out._backward = _backward
     return out
+
+
+def _accum_rules(rules: list[tuple[Tensor, Vjp]], g: np.ndarray) -> None:
+    for p, vjp in rules:
+        p._accum(vjp(g))
 
 
 def _as_tensor(x) -> Tensor:
@@ -349,7 +400,12 @@ def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
     n, _, ih, iw = y4.shape
     _, b, kh, kw = kernel.shape
     oh, ow = out_hw
-    taps = np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
+    if n == 1:
+        # the same products without the batch axis, which spares einsum a
+        # transposed copy of y4
+        taps = np.einsum("aij,abkl->bklij", y4[0], kernel, optimize=True)[None]
+    else:
+        taps = np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
     if stride > 1 and dil == 1:
         s = stride
         qh, qw = -(-kh // s), -(-kw // s)
@@ -408,7 +464,11 @@ def _conv_node(op: str, x: Tensor, params: ConvParams, out4: np.ndarray,
         # the ReLU's rule, run once ahead of the input, kernel and bias rules;
         # y > 0 exactly where the pre-activation is
         rules, y = out._backward, out.data
-        out._backward = lambda g: rules(g * (y > 0))
+
+        def masked(g):
+            g = g * (y > 0)     # the walk kept no reference: this frees the old g
+            rules(g)
+        out._backward = masked
     return out
 
 
@@ -446,10 +506,17 @@ def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
         return _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
 
     out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols()).reshape(oc, n, oh, ow), 0, 1)
-    return _conv_node(
-        "conv2d", x, params, out4,
-        lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
-        lambda g4: _kernel_grad(g4, cols().T, kernel.shape), relu)
+
+    # one image at a time, so the scatter's kh*kw-fold taps of a single image
+    # are alive beside the kernel rule's columns, not the whole batch's
+    def vjp_x4(g4):
+        gx = np.empty_like(x4)
+        for i in range(n):
+            gx[i] = _convt_scatter(g4[i:i + 1], kernel, s, p, d, (h, w))[0]
+        return gx
+
+    return _conv_node("conv2d", x, params, out4, vjp_x4,
+                      lambda g4: _kernel_grad(g4, cols().T, kernel.shape), relu)
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -471,28 +538,17 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
             f"conv_transpose output {oh}x{ow} from input {ih}x{iw}")
 
     x4 = _as_4d(x.data)
-    # Both gradients read the output gradient's columns. _node runs the input
-    # rule first, so when the kernel rule runs too it takes the same columns.
-    # They stay row-major, unlike conv2d's: the kernel product reduces over
-    # every pixel into as many rows as input channels (2 in the score heads),
-    # and channel-major columns change its last bits.
-    handoff: list[np.ndarray] = []
-    kernel_rule_runs = params.kernel.requires_grad
-
+    # Both gradients read the output gradient's columns, and each rule builds
+    # its own. They stay row-major, unlike conv2d's: the kernel product
+    # reduces over every pixel into as many rows as input channels (2 in the
+    # score heads), and channel-major columns change its last bits.
     def gcols(g4):
         return _im2col(_conv_windows(g4, kh, kw, s, p, d, (ih, iw)))
 
-    def vjp_x4(g4):
-        cols = gcols(g4)
-        if kernel_rule_runs:
-            handoff.append(cols)
-        return _correlate(cols, kernel, g4.shape[0], (ih, iw))
-
-    def vjp_kernel(g4):
-        return _kernel_grad(x4, handoff.pop() if handoff else gcols(g4), kernel.shape)
-
     return _conv_node("conv_transpose2d", x, params,
-                      _convt_scatter(x4, kernel, s, p, d, (oh, ow)), vjp_x4, vjp_kernel)
+                      _convt_scatter(x4, kernel, s, p, d, (oh, ow)),
+                      lambda g4: _correlate(gcols(g4), kernel, g4.shape[0], (ih, iw)),
+                      lambda g4: _kernel_grad(x4, gcols(g4), kernel.shape))
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

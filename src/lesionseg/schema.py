@@ -39,9 +39,13 @@ def field_default(section: str, name: str):
 
 def parse_value(key: str, text: str, kind):
     """`text` read as `kind`: bool, int, float, str or a tuple of one of them.
-    A float must be finite."""
+    A float must be finite. A number holds no `_` and no inner whitespace,
+    which Python's int and float would read past: `1_0` is not 10."""
     args = typing.get_args(kind)
     try:
+        if (args[0] if args else kind) in (int, float) \
+                and ("_" in text or len(text.split()) > 1):
+            raise ValueError(text)
         if args:
             items = text.split(",")
             if args[-1] is not Ellipsis and len(items) != len(args):

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +170,21 @@ class TestGraphRelease:
         for node in interior:
             assert node.grad is None and node._backward is None, node._op
             assert node._parents == (), node._op
+
+    def test_walk_keeps_no_reference_to_the_gradient_it_hands_over(self):
+        """A rule may free its gradient before it returns: conv2d's ReLU mask
+        drops the unmasked gradient before the conv's own rules run."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        mid = x * 2.0
+        freed = []
+
+        def rule(g):
+            ref = weakref.ref(g)
+            del g
+            freed.append(ref() is None)
+        mid._backward = rule
+        _node("probe", mid.data.sum(), (mid,), lambda g: np.full(2, 3.0)).backward()
+        assert freed == [True]
 
     def test_second_backward_on_a_spent_root_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -422,7 +439,8 @@ class TestConv2dBytes:
 
 def stored_columns_conv2d(x, params, relu=False):
     """conv2d's windowed path with the kernel rule reading the columns the
-    forward product kept, as it did before that rule rebuilt them."""
+    forward product kept, as it did before that rule rebuilt them; the input
+    rule is conv2d's, one image at a time."""
     kernel = params.kernel.data
     s, p, d = params.stride, params.padding, params.dilation
     oc, _, kh, kw = kernel.shape
@@ -431,8 +449,14 @@ def stored_columns_conv2d(x, params, relu=False):
     oh, ow = _conv_out_dim(h, kh, s, p, d), _conv_out_dim(w, kw, s, p, d)
     cols = _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
     out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow), 0, 1)
-    return _conv_node("conv2d", x, params, out4,
-                      lambda g4: _convt_scatter(g4, kernel, s, p, d, (h, w)),
+
+    def vjp_x4(g4):
+        gx = np.empty_like(x4)
+        for i in range(n):
+            gx[i] = _convt_scatter(g4[i:i + 1], kernel, s, p, d, (h, w))[0]
+        return gx
+
+    return _conv_node("conv2d", x, params, out4, vjp_x4,
                       lambda g4: _kernel_grad(g4, cols.T, kernel.shape), relu)
 
 
@@ -1012,3 +1036,123 @@ class TestGradientHandOff:
         (shared + again if shared_first else again + shared).backward()
         assert_allclose(a.grad, w)
         assert_allclose(b.grad, w + 2.0 * b.data)
+
+
+class LeafRuleError(RuntimeError):
+    pass
+
+
+class TestBackwardWorker:
+    def test_leaf_rules_run_on_one_worker_in_walk_order(self):
+        """Every leaf rule runs on one thread other than the caller's, after
+        the leaf rules of the nodes the walk reached first; interior rules
+        run on the caller."""
+        calls = []
+
+        def rule(name):
+            def vjp(g):
+                calls.append((name, threading.current_thread()))
+                return g
+            return vjp
+
+        a, b = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        mid = _node("mid", a.data + b.data, (a, b), rule("a1"), rule("b1"))
+        out = _node("out", mid.data + a.data, (mid, a), rule("mid"), rule("a2"))
+        out.sum().backward()
+        # out's leaf rule races mid's rule, not the leaf rules after it
+        assert [name for name, _ in calls if name != "mid"] == ["a2", "a1", "b1"]
+        threads = {name: t for name, t in calls}
+        assert threads["mid"] is threading.main_thread()
+        assert threads["a1"] is threads["a2"] is threads["b1"]
+        assert threads["a1"] is not threading.main_thread()
+        assert (a.grad.tolist(), b.grad.tolist()) == ([2.0], [1.0])
+
+    @pytest.mark.parametrize("read_on_submit", [False, True], ids=["last", "on_submit"])
+    def test_leaf_rule_error_surfaces_and_the_worker_is_joined(self, read_on_submit):
+        before = threading.active_count()
+
+        def boom(g):
+            raise LeafRuleError("leaf rule failed")
+
+        z, x = Tensor([1.0], requires_grad=True), Tensor([2.0], requires_grad=True)
+        if read_on_submit:   # x * x's leaf task follows the failing one
+            root = _node("boom", z.data.copy(), (z, x * x), boom, lambda g: g)
+        else:
+            root = _node("boom", z.data.copy(), (z,), boom)
+        with pytest.raises(LeafRuleError, match="leaf rule failed"):
+            gradients(root.sum(), {"z": z})
+        assert threading.active_count() == before
+
+    def test_interior_rule_error_joins_the_worker(self):
+        before = threading.active_count()
+
+        def boom(g):
+            raise LeafRuleError("interior rule failed")
+
+        x = Tensor([1.0], requires_grad=True)
+        mid = x * x                      # its leaf task may still be running
+        root = _node("boom", mid.data.copy(), (mid,), boom) * x
+        with pytest.raises(LeafRuleError, match="interior rule failed"):
+            root.sum().backward()
+        assert threading.active_count() == before
+
+    def test_leaf_rules_run_under_the_callers_errstate(self):
+        """np.errstate is context-local; the worker takes the caller's."""
+        x = Tensor([1e300], requires_grad=True)
+        root = _node("square", x.data.copy(), (x,), lambda g: g * 1e300 * 1e300)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            root.sum().backward()
+
+    def test_kernel_shared_by_conv_nodes_sums_in_walk_order(self):
+        """A kernel read by three chained conv nodes takes their kernel
+        gradients in walk order (the last conv's first), the bytes of the
+        same graph with three copies of the kernel summed in that order."""
+        rng = np.random.default_rng(11)
+        x0 = rng.standard_normal((2, 4, 12, 12))
+        k0 = rng.standard_normal((4, 4, 3, 3)) * 0.3
+        b0 = rng.standard_normal(4) * 0.1
+        g0 = rng.standard_normal((2, 4, 12, 12))
+
+        def run(kernels):
+            params = [ConvParams(Tensor(k0, requires_grad=True),
+                                 Tensor(b0, requires_grad=True), padding=1)
+                      for _ in range(kernels)]
+            y = Tensor(x0)
+            for i in range(3):
+                y = conv2d(y, params[i % kernels], relu=True)
+            (y * Tensor(g0)).sum().backward()
+            return [p.kernel.grad for p in params]
+
+        (shared,) = run(1)
+        first, second, third = run(3)
+        assert shared.tobytes() == ((third + second) + first).tobytes()
+        assert shared.tobytes() != ((first + second) + third).tobytes()
+
+
+class TestConv2dPerImageInputRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+           st.tuples(st.integers(1, 5), st.integers(1, 5)), st.integers(1, 3),
+           st.integers(0, 3), st.integers(1, 3),
+           st.tuples(st.integers(1, 12), st.integers(1, 12)), st.integers(0, 2**32 - 1))
+    def test_within_rounding_of_the_batched_scatter(self, n, c, oc, k, s, pad, d, in_hw,
+                                                    seed):
+        """conv2d's input rule scatters one image at a time. The batched
+        scatter contracts the same terms in a GEMM blocked over the batch,
+        so the two may differ by rounding: at most twice the error bound of
+        summing the a*kh*kw terms, scaled by the sum of their magnitudes."""
+        kh, kw = k
+        assume(not (kh == kw == 1 and s == 1 and pad == 0))   # the pointwise path
+        out_hw = tuple(_conv_out_dim(i, kk, s, pad, d) for i, kk in zip(in_hw, k))
+        assume(min(out_hw) >= 1)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((n, c, *in_hw)), requires_grad=True)
+        kernel = rng.standard_normal((oc, c, kh, kw))
+        g4 = rng.standard_normal((n, oc, *out_hw))
+        out = conv2d(x, ConvParams(Tensor(kernel), Tensor(np.zeros(oc)),
+                                   stride=s, padding=pad, dilation=d))
+        (out * Tensor(g4)).sum().backward()
+        batched = _convt_scatter(g4, kernel, s, pad, d, in_hw)
+        magnitude = _convt_scatter(np.abs(g4), np.abs(kernel), s, pad, d, in_hw)
+        bound = 2 * oc * kh * kw * np.finfo(np.float64).eps * magnitude
+        assert np.all(np.abs(x.grad - batched) <= bound)

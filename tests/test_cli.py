@@ -162,6 +162,11 @@ class TestExitCodes:
         ("train.class_weights=0.8,x",
          "train.class_weights: expected tuple[float, float], got '0.8,x'"),
         ("train.use_mcdf=maybe", "train.use_mcdf: expected bool, got 'maybe'"),
+        # int and float read digit-group underscores and spaces: 1_2 would be 12
+        ("bank.rates=1_2", "bank.rates: expected tuple[int, ...], got '1_2'"),
+        ("mcdf.sigma_sq=1_0", "mcdf.sigma_sq: expected float, got '1_0'"),
+        ("train.max_iter=1_000", "train.max_iter: expected int, got '1_000'"),
+        ("bank.rates=1, 2", "bank.rates: expected tuple[int, ...], got '1, 2'"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, command, setting, message):
         args = ["--data", str(tmp_path)] if command == "train" else []
@@ -327,6 +332,7 @@ class TestWorkflow:
         ("mcdf.windows", "3,3,3,5,4,3,3",
          "mcdf.windows: expected odd values, each at least 1, got (3, 3, 3, 5, 4, 3, 3)"),
         ("mcdf.sigma_sq", "-1.0", "mcdf.sigma_sq: expected a positive value, got -1.0"),
+        ("mcdf.sigma_sq", "1_0.0", "mcdf.sigma_sq: expected float, got '1_0.0'"),
         ("bank.channels", None, "bank.channels: missing"),
     ])
     def test_bad_echo_names_checkpoint_and_key(self, workspace, tmp_path, capsys, command,
