@@ -33,7 +33,11 @@ as one task, and the walk goes on with the node's other rules. The no-write
 rule is what makes that safe, since the worker's leaf rules and the
 caller's rules read the same gradient ``g`` at once. Leaves are accumulated
 only on the worker, one task at a time in walk order, so every leaf
-gradient is summed in the order a one-thread walk sums it.
+gradient is summed in the order a one-thread walk sums it. The decision
+fusion's node also hands the worker the rules of its second half of maps,
+as one task that returns their gradients and accumulates nothing: the
+caller runs the first half, waits for the task, then accumulates every
+map's gradient in order, so no leaf is summed out of walk order.
 
 All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
 scratch on every forward pass.
@@ -73,9 +77,11 @@ class SpentGraphError(ValueError):
 
 Vjp = Callable[[np.ndarray], np.ndarray]
 
-# The running walk's hand-off to its worker. Rules stay one-argument
-# callables, so a node's _backward reaches the worker through this variable.
-_leaf_tasks: ContextVar[Callable[[Callable[[], None]], None]] = ContextVar("_leaf_tasks")
+# The running walk's hand-off to its worker: it runs a task there and returns
+# the task's future. Rules stay one-argument callables, so a node's _backward
+# reaches the worker through this variable.
+_worker_tasks: ContextVar[Callable[[Callable[[], object]], Future]] = \
+    ContextVar("_worker_tasks")
 
 
 class Tensor:
@@ -123,9 +129,9 @@ class Tensor:
         Consumes the graph: every interior node drops its gradient, rules and
         input links as its rules run, and a later backward() through any of
         them raises SpentGraphError. Leaves keep their gradients.
-        The leaf rules run on one worker thread, started by the first of them
-        and joined before this returns or raises; a leaf rule's error is
-        raised here.
+        The leaf rules, and the second half of the fusion's map rules, run
+        on one worker thread, started by the first of them and joined before
+        this returns or raises; an error in a worker's rule is raised here.
         """
         if self.data.size != 1:
             raise NonScalarRootError(
@@ -153,15 +159,16 @@ class Tensor:
         with ThreadPoolExecutor(1) as worker:
             pending: list[Future] = []
 
-            def submit(task: Callable[[], None]) -> None:
+            def submit(task: Callable[[], object]) -> Future:
                 # one task at a time: a queue would keep every waiting task's
                 # gradient alive. The task runs in this thread's context, so
                 # np.errstate reaches it.
                 if pending:
                     pending.pop().result()
                 pending.append(worker.submit(copy_context().run, task))
+                return pending[-1]
 
-            token = _leaf_tasks.set(submit)
+            token = _worker_tasks.set(submit)
             try:
                 # pop rather than iterate, so a released node is not kept alive
                 while topo:
@@ -174,7 +181,7 @@ class Tensor:
                 if pending:
                     pending.pop().result()
             finally:
-                _leaf_tasks.reset(token)
+                _worker_tasks.reset(token)
 
     # -- elementwise arithmetic (numpy broadcasting, gradients summed back) --
 
@@ -203,12 +210,14 @@ class Tensor:
 
 
 def _node(op: str, value: np.ndarray, parents: tuple[Tensor, ...],
-          *vjps: Vjp) -> Tensor:
+          *vjps: Vjp, split: bool = False) -> Tensor:
     """One operation's result: value, where vjps[i](g) is parents[i]'s gradient.
 
     A result whose parents need no gradient is a plain tensor. A vjp must not
     reach the result itself, or the graph becomes a reference cycle. The
-    rules of leaf parents run on the walk's worker, the others on the caller.
+    rules of leaf parents run on the walk's worker, the others on the caller;
+    a split node also hands the worker the second half of those others, whose
+    gradients the caller accumulates after its own half.
     """
     live = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
     if not live:
@@ -217,11 +226,18 @@ def _node(op: str, value: np.ndarray, parents: tuple[Tensor, ...],
     out._parents = parents
     leaf = [(p, vjp) for p, vjp in live if p._op == "leaf"]
     inner = [(p, vjp) for p, vjp in live if p._op != "leaf"]
+    handed = inner[len(inner) // 2:] if split else []
+    kept = inner[:len(inner) - len(handed)]
 
     def _backward(g: np.ndarray) -> None:
         if leaf:
-            _leaf_tasks.get()(lambda: _accum_rules(leaf, g))
-        _accum_rules(inner, g)
+            _worker_tasks.get()(lambda: _accum_rules(leaf, g))
+        if handed:
+            grads = _worker_tasks.get()(lambda: [vjp(g) for _, vjp in handed])
+        _accum_rules(kept, g)
+        if handed:
+            for (p, _), pg in zip(handed, grads.result()):
+                p._accum(pg)
     out._backward = _backward
     return out
 
@@ -644,22 +660,26 @@ def _edge_fold(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
 # Relative floor below which the cancellation form mean(x^2) - mean(x)^2 is
 # integral-image rounding noise; such windows count as exactly constant. The
 # noise scales with the cumsum extent, hence the padded-area factor applied
-# by windowed_variance.
+# by local_variance.
 _VAR_FLOOR_EPS = 32 * np.finfo(np.float64).eps
 
+# a map's windowed variance and its adjoint, as local_variance returns them
+Variance = tuple[np.ndarray, Vjp | None]
 
-def windowed_variance(x: Tensor, window: int) -> Tensor:
-    """Windowed population variance with edge replication.
+
+def local_variance(x: np.ndarray, window: int) -> Variance:
+    """Windowed population variance with edge replication, and its adjoint.
 
     Single fused pass over stacked [x, x^2] box means. Exactly zero (with zero
     gradient) wherever the window is constant, which the Gaussian consistency
     weight relies on; the cutoff assumes window magnitudes within a few orders
-    of the map's global scale.
+    of the map's global scale. At window 1 the variance is zero everywhere
+    and the adjoint is None.
     """
     if window < 1 or window % 2 == 0:
         raise EvenWindowError(f"window must be odd and >= 1, got {window}")
     if window == 1:
-        return Tensor(np.zeros_like(x.data))
+        return np.zeros_like(x), None
     r = (window - 1) // 2
     lead, (h, w) = x.shape[:-2], x.shape[-2:]
     # [x, x^2], edge-padded by r, past the integral image's zero row and column
@@ -667,7 +687,7 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
     buf[..., 0, :] = 0.0
     buf[..., :, 0] = 0.0
     xp, xsq = buf[..., 1:, 1:]
-    pad2d(x.data, (r, r), (r, r), edge=True, out=xp)
+    pad2d(x, (r, r), (r, r), edge=True, out=xp)
     np.multiply(xp, xp, out=xsq)
     sums = _box_sums(buf, window)
     m = sums[0] / (window * window)
@@ -687,29 +707,46 @@ def windowed_variance(x: Tensor, window: int) -> Tensor:
         folded = _box_sums(buf, window)
         a_g = _edge_fold(folded[0], r, h, w)
         a_gm = _edge_fold(folded[1], r, h, w)
-        return 2.0 * (x.data * a_g - a_gm)
+        return 2.0 * (x * a_g - a_gm)
 
-    return _node("windowed_variance", np.where(gate, raw, 0.0), (x,), vjp)
+    return np.where(gate, raw, 0.0), vjp
 
 
-def gaussian_weighted_sum(variances: Sequence[Tensor], maps: Sequence[Tensor],
+def windowed_variance(x: Tensor, window: int) -> Tensor:
+    """local_variance as an op: the same value, differentiated by its adjoint."""
+    value, vjp = local_variance(x.data, window)
+    return Tensor(value) if vjp is None else _node("windowed_variance", value, (x,), vjp)
+
+
+def gaussian_weighted_sum(maps: Sequence[Tensor], variances: Sequence[Variance],
                           sigma_sq: float, stop_grad: bool = False) -> Tensor:
-    """sum_k exp(-v_k / sigma_sq) * S_k, added left to right, as one node.
+    """sum_k exp(-v_k / sigma_sq) * S_k, added left to right, as one node
+    whose parents are the maps alone.
 
-    It keeps only the K weights. Map k's gradient is g * alpha_k and
-    variance k's -(((g * S_k) * alpha_k) / sigma_sq), the bytes that separate
-    neg, div, exp, mul and add nodes give; stop_grad leaves the variances out.
+    variances[k] is map k's variance v_k and its adjoint, as local_variance
+    returns them. The node keeps the K weights and the adjoints. Map k's
+    gradient is g * alpha_k + adjoint_k(-(((g * S_k) * alpha_k) / sigma_sq)),
+    the bytes that separate variance, neg, div, exp, mul and add nodes give;
+    stop_grad, or an adjoint of None, leaves the second term out. The walk's
+    worker runs the second half of the maps' rules.
     """
-    alphas = [np.exp(-v.data / sigma_sq) for v in variances]
+    if len(variances) != len(maps):
+        raise ShapeMismatchError(
+            f"gaussian_weighted_sum: {len(maps)} maps but {len(variances)} variances")
+    alphas = [np.exp(-v / sigma_sq) for v, _ in variances]
     fused = alphas[0] * maps[0].data
     for alpha, score in zip(alphas[1:], maps[1:]):
         fused += alpha * score.data
-    rules = [lambda g, a=a: g * a for a in alphas]
-    if not stop_grad:
-        rules += [lambda g, a=a, s=s.data: -(((g * s) * a) / sigma_sq)
-                  for a, s in zip(alphas, maps)]
-    parents = tuple(maps) if stop_grad else (*maps, *variances)
-    return _node("gaussian_weighted_sum", fused, parents, *rules)
+
+    def rule(a: np.ndarray, s: np.ndarray, adjoint: Vjp | None) -> Vjp:
+        if stop_grad or adjoint is None:
+            return lambda g: g * a
+        return lambda g: g * a + adjoint(-(((g * s) * a) / sigma_sq))
+
+    return _node("gaussian_weighted_sum", fused, tuple(maps),
+                 *(rule(a, m.data, adjoint)
+                   for a, m, (_, adjoint) in zip(alphas, maps, variances)),
+                 split=True)
 
 
 def gradients(root: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -13,6 +13,9 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
+from .autodiff import Tensor
 from .backbone import CheckpointError, ConfigError, atomic_write, load_checkpoint, save_checkpoint
 from .data import (
     DatasetError,
@@ -250,8 +253,10 @@ def cmd_predict(args) -> int:
     if not images:
         raise DatasetError(f"no images under {Path(args.input) / 'images'}")
     out = Path(args.out)
-    for stem, image in images:
-        mask = predict_mask(image, params, mc, use_bidfl, use_mcdf, sigma_sq)
+    # one batch: load_images gives every image the configured size
+    masks = predict_mask(Tensor(np.stack([image.data for _, image in images])),
+                         params, mc, use_bidfl, use_mcdf, sigma_sq)
+    for (stem, _), mask in zip(images, masks):
         write_mask(mask, out / f"{stem}.pgm")
     print(f"wrote {len(images)} predicted masks to {out}")
     return 0

@@ -4,6 +4,7 @@ heads, and score fusion, plus parameter construction and prediction."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,13 +158,25 @@ def encode(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
 
 def decide(features: Features, params: dict[str, Tensor], config: ModelConfig,
            use_bidfl: bool, use_mcdf: bool, sigma_sq: float,
-           stop_grad_alpha: bool = False) -> tuple[Tensor, Tensor, ScoreStack]:
+           stop_grad_alpha: bool = False,
+           split_heads: bool = False) -> tuple[Tensor, Tensor, ScoreStack]:
     """Decision fusion: the skip heads' score maps, fused and normalised;
-    returns (fused logits, class probabilities, stack)."""
+    returns (fused logits, class probabilities, stack).
+
+    split_heads runs the first half of the heads on one worker thread while
+    this thread runs the second half; the worker is joined before the
+    fusion, and before this raises. The worker shares only the parameters
+    and features, which no head writes.
+    """
     blocks, fused, levels = features
     heads = head_params_from(params, _head_factors(config, use_bidfl))
-    stack = score_heads(blocks, fused, levels, heads,
-                        config.head_windows(use_bidfl), sigma_sq)
+    args = (blocks, fused, levels, heads, config.head_windows(use_bidfl), sigma_sq)
+    if split_heads:
+        with ThreadPoolExecutor(1) as worker:
+            # the task runs in this thread's context, so np.errstate reaches it
+            stack = score_heads(*args, lambda task: worker.submit(copy_context().run, task))
+    else:
+        stack = score_heads(*args)
     logits = fuse_scores(stack, stop_grad_alpha) if use_mcdf else sum_fuse(stack)
     return logits, softmax_channels(logits), stack
 
@@ -171,9 +184,13 @@ def decide(features: Features, params: dict[str, Tensor], config: ModelConfig,
 def model_forward(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
                   use_bidfl: bool, use_mcdf: bool, sigma_sq: float,
                   stop_grad_alpha: bool = False) -> tuple[Tensor, Tensor, ScoreStack]:
-    """Run the pipeline; returns (fused logits, class probabilities, stack)."""
+    """Run the pipeline; returns (fused logits, class probabilities, stack).
+
+    An MCDF cell splits its heads across two threads. A sum-fused cell's
+    plain heads gain too little from it to pay for the worker.
+    """
     return decide(encode(image, params, config, use_bidfl), params, config,
-                  use_bidfl, use_mcdf, sigma_sq, stop_grad_alpha)
+                  use_bidfl, use_mcdf, sigma_sq, stop_grad_alpha, split_heads=use_mcdf)
 
 
 def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import ShapeMismatchError, Tensor, clip_min, gradients, log, pad2d
 from .backbone import ConfigError
 from .data import Sample, resize_bilinear, resize_nearest
-from .metrics import MetricEntry, MetricReport, aggregate, compute_metrics, confusion, write_csv
+from .metrics import MetricReport, aggregate, compute_metrics, confusion, write_csv
 from .model import ModelConfig, model_forward, predict_mask
 
 
@@ -260,14 +260,14 @@ def write_loss_log(path, records: list[LossRecord]) -> None:
 def evaluate(samples: list[Sample], params: dict[str, Tensor], config: ModelConfig,
              use_bidfl: bool, use_mcdf: bool,
              sigma_sq: float) -> tuple[MetricReport, list[str]]:
-    """Per-image metrics of thresholded predictions against ground truth."""
+    """Per-image metrics of thresholded predictions against ground truth.
+
+    The samples, which share one image size, are predicted as one batch.
+    """
     if not samples:
         raise ConfigError("evaluation set is empty")
-    entries: list[MetricEntry] = []
-    ids: list[str] = []
-    for sample in samples:
-        pred = predict_mask(sample.image, params, config, use_bidfl, use_mcdf,
-                            sigma_sq)
-        entries.append(compute_metrics(confusion(pred, sample.mask.data[0])))
-        ids.append(sample.id)
-    return aggregate(entries), ids
+    preds = predict_mask(Tensor(np.stack([s.image.data for s in samples])), params,
+                         config, use_bidfl, use_mcdf, sigma_sq)
+    entries = [compute_metrics(confusion(pred, s.mask.data[0]))
+               for pred, s in zip(preds, samples)]
+    return aggregate(entries), [s.id for s in samples]

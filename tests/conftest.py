@@ -7,8 +7,9 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a thread alive: predict_mask's pipeline and
-    backward's worker are joined before their calls return or raise."""
+    """Fail a test that leaves a thread alive: predict_mask's pipeline, the
+    training forward pass's head worker and backward's worker are joined
+    before their calls return or raise."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -23,6 +23,7 @@ from lesionseg.autodiff import (
     conv_transpose2d,
     gaussian_weighted_sum,
     gradients,
+    local_variance,
     log,
     max_pool2d,
     pad2d,
@@ -214,7 +215,7 @@ class TestNode:
         x = Tensor(rng.standard_normal((2, 5, 5)))
         p = make_params(rng.standard_normal((3, 2, 3, 3)), padding=1)
         outs = [x * x + 1.0, -x / 2.0, clip_min(x, 0.0), log(x * x + 1.0), x.sum(),
-                gaussian_weighted_sum([windowed_variance(x, 3)], [x], 1.0), conv2d(x, p),
+                gaussian_weighted_sum([x], [local_variance(x.data, 3)], 1.0), conv2d(x, p),
                 conv_transpose2d(x, make_params(rng.standard_normal((2, 1, 2, 2)),
                                                 [0.0], stride=2)),
                 concat_channels([x, x]), max_pool2d(x), softmax_channels(x),
@@ -976,9 +977,15 @@ OP_GRAPHS = {
     "max_pool2d": lambda t: max_pool2d(t(2, 2, 5, 5)),
     "softmax_channels": lambda t: softmax_channels(t(2, 3, 4, 4)),
     "windowed_variance": lambda t: windowed_variance(t(2, 2, 6, 6), 3),
-    "gaussian_weighted_sum": lambda t: gaussian_weighted_sum(
-        [t(2, 4, 4), t(2, 4, 4)], [t(2, 4, 4), t(2, 4, 4)], 2.0),
+    # interior maps, whose rules the walk's worker shares, then a leaf map
+    "gaussian_weighted_sum": lambda t: consistency_fusion(
+        [t(2, 4, 4) * t(2, 4, 4), t(2, 4, 4) + t(2, 4, 4), t(2, 4, 4)], (3, 1, 3)),
 }
+
+
+def consistency_fusion(maps, windows):
+    return gaussian_weighted_sum(
+        maps, [local_variance(m.data, l) for m, l in zip(maps, windows)], 2.0)
 
 
 def freeze_gradients(monkeypatch):
@@ -1095,6 +1102,37 @@ class TestBackwardWorker:
         with pytest.raises(LeafRuleError, match="interior rule failed"):
             root.sum().backward()
         assert threading.active_count() == before
+
+    def test_fusion_hands_its_second_half_of_map_rules_to_the_worker(self):
+        """The caller runs the first half, the worker the second, as one task
+        that accumulates nothing; an error there surfaces from gradients()
+        as itself, with the worker joined."""
+        ran = {}
+
+        def adjoint(k, fail):
+            def vjp(gv):
+                ran[k] = threading.current_thread()
+                if fail:
+                    raise LeafRuleError(f"map {k}")
+                return gv
+            return vjp
+
+        before = threading.active_count()
+        for fail in (False, True):
+            x = Tensor(np.arange(18.0).reshape(2, 3, 3), requires_grad=True)
+            maps = [x * float(k + 1) for k in range(4)]
+            variances = [(np.zeros(x.shape), adjoint(k, fail and k == 3))
+                         for k in range(4)]
+            root = gaussian_weighted_sum(maps, variances, 1.0).sum()
+            if fail:
+                with pytest.raises(LeafRuleError, match="^map 3$"):
+                    gradients(root, {"x": x})
+            else:
+                gradients(root, {"x": x})
+            assert ran[0] is ran[1] is threading.main_thread()
+            assert ran[2] is ran[3] and ran[2] is not threading.main_thread()
+            assert threading.active_count() == before
+        assert x.grad is None
 
     def test_leaf_rules_run_under_the_callers_errstate(self):
         """np.errstate is context-local; the worker takes the caller's."""

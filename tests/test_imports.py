@@ -6,10 +6,15 @@ nothing calls np.pad, whose per-call set-up costs more than the fill,
 autodiff.pad2d is the one fill helper, and only model.py and autodiff.py
 start threads. The engine shares arrays between nodes and relies on nothing
 writing into an array a node has read; predict_mask's one worker keeps that
-by sharing only detached parameters and the features this thread hands it,
+by sharing only detached parameters and the features this thread hands it;
+the training forward pass's one worker, which runs the first half of an
+MCDF cell's skip heads, by sharing only the parameters and the features,
+which no head task writes: each task writes only the arrays it makes;
 backward's one worker by running only leaf rules, which read the gradient
-they share and write only the leaves, which no other rule reads; a thread
-elsewhere would need the same proof."""
+they share and write only the leaves, which no other rule reads, and the
+fusion's second half of map rules, which read it and write nothing. mcdf
+is handed the forward worker and imports none; a thread elsewhere would
+need the same proof."""
 
 import ast
 from pathlib import Path
@@ -87,10 +92,13 @@ def test_detects_an_unreferenced_function():
 
 
 def test_every_engine_function_is_used_by_the_package():
-    # gradcheck's cases reach every op by design, so they do not count
+    # gradcheck's cases reach every op by design, so they do not count; the
+    # one exception is windowed_variance, local_variance as an op, through
+    # which gradcheck checks the adjoint that the fusion runs
     others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
               if path.name not in ("autodiff.py", "gradcheck.py")]
-    assert unreferenced_functions((PACKAGE / "autodiff.py").read_text(), others) == []
+    assert unreferenced_functions((PACKAGE / "autodiff.py").read_text(), others) == \
+        ["windowed_variance"]
 
 
 def _called(call: ast.Call) -> str | None:

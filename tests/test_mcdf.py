@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from lesionseg.autodiff import (
     EvenWindowError,
+    ShapeMismatchError,
     Tensor,
     gaussian_weighted_sum,
+    local_variance,
     windowed_variance,
 )
 from lesionseg.backbone import (
@@ -348,27 +350,47 @@ class TestFusionBytes:
             assert maps[k].grad.tobytes() == want_grad.tobytes(), f"map {k}"
 
     @settings(max_examples=100, deadline=None)
-    @given(**fusion_cases)
-    def test_op_matches_reference(self, count, lead, hw, sigma_sq, stop_grad, seed):
-        """Variances as leaves: each gets exactly the reference's gradient, or
-        none under stop_grad."""
+    @given(**fusion_cases, interior=st.booleans())
+    def test_op_matches_reference(self, count, lead, hw, sigma_sq, stop_grad, seed,
+                                  interior):
+        """Variances with recording adjoints: adjoint k is handed exactly the
+        reference's variance-k gradient, or nothing under stop_grad, and what
+        it returns is added to map k's gradient. Interior maps take the rules
+        that the walk's worker shares."""
         rng = np.random.default_rng(seed)
         shape = lead + hw
         data = signed_zero_maps(rng, count, shape)
         var_data = [np.abs(v) for v in signed_zero_maps(rng, count, shape)]
         g = signed_zero_maps(rng, 1, shape)[0]
-        maps = [Tensor(m, requires_grad=True) for m in data]
-        variances = [Tensor(v, requires_grad=True) for v in var_data]
-        out = gaussian_weighted_sum(variances, maps, sigma_sq, stop_grad)
+        returned = signed_zero_maps(rng, count, shape)
+        handed = {}
+
+        def adjoint(k):
+            def vjp(gv):
+                handed[k] = gv
+                return returned[k]
+            return vjp
+
+        leaves = [Tensor(m, requires_grad=True) for m in data]
+        # times 1.0 is exact both ways, so interior maps keep the bytes
+        maps = [leaf * 1.0 for leaf in leaves] if interior else leaves
+        variances = [(v, adjoint(k)) for k, v in enumerate(var_data)]
+        out = gaussian_weighted_sum(maps, variances, sigma_sq, stop_grad)
         (out * Tensor(g)).sum().backward()
         want, map_grads, var_grads = gaussian_fusion_reference(var_data, data, g, sigma_sq)
         assert out.data.tobytes() == want.tobytes()
-        assert [m.grad.tobytes() for m in maps] == [w.tobytes() for w in map_grads]
         if stop_grad:
-            assert all(v.grad is None for v in variances)
+            assert handed == {}
         else:
-            assert [v.grad.tobytes() for v in variances] == \
+            assert [handed[k].tobytes() for k in range(count)] == \
                 [w.tobytes() for w in var_grads]
+            map_grads = [w + r for w, r in zip(map_grads, returned)]
+        assert [m.grad.tobytes() for m in leaves] == [w.tobytes() for w in map_grads]
+
+    def test_op_rejects_a_variance_count_that_differs_from_the_map_count(self):
+        maps = [Tensor(np.zeros((2, 4, 4))), Tensor(np.ones((2, 4, 4)))]
+        with pytest.raises(ShapeMismatchError, match="2 maps but 1 variances$"):
+            gaussian_weighted_sum(maps, [local_variance(maps[0].data, 3)], 10.0)
 
 
 class TestSumFuse:
@@ -386,6 +408,13 @@ class TestScoreStackValidation:
     def test_oversized_window_rejected(self):
         with pytest.raises(ConfigError):
             ScoreStack([Tensor(np.zeros((2, 8, 8)))], (9,), 10.0)
+
+    @pytest.mark.parametrize("windows", [(3,), (3, 3, 3)], ids=["fewer", "more"])
+    def test_window_count_must_match_map_count(self, windows):
+        maps = [Tensor(np.zeros((2, 8, 8))), Tensor(np.ones((2, 8, 8)))]
+        with pytest.raises(ConfigError, match=f"^score stack has 2 maps but "
+                                              f"{len(windows)} windows;"):
+            ScoreStack(maps, windows, 10.0)
 
 
 DESK = BackboneConfig(channels=(4, 6, 8, 8, 8), strides=(1, 2, 2, 1, 1),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesionseg import model
+from lesionseg import mcdf, model
 from lesionseg.autodiff import Tensor, gradients
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.bidfl import FUSION_STRATEGIES
@@ -39,6 +39,7 @@ DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the stage functions as the package defines them, for the wrappers below
 model_encode, model_decide = model.encode, model.decide
+mcdf_classify_upsample = mcdf.classify_upsample
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +296,81 @@ def test_predict_mask_threads(desk, monkeypatch, batch, started):
     before = threading.active_count()
     predict(images[0] if batch == 1 else images[:batch])
     assert len(starts) == started
+    assert threading.active_count() == before
+
+
+def split_heads_step(use_bidfl, use_mcdf, forward):
+    """One TINY training step's loss and gradients, as bytes; forward(image,
+    params) gives (logits, probs, stack)."""
+    rng = np.random.default_rng(6)
+    image = Tensor(rng.random((2, 3, 32, 32)))
+    labels = one_hot_masks((rng.random((2, 1, 32, 32)) > 0.6).astype(float))
+    params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
+    _, probs, _ = forward(image, params)
+    loss = weighted_ce_loss(probs, labels, (0.8, 0.2))
+    grads = gradients(loss, params)
+    return loss.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+
+@CELLS
+def test_split_heads_give_the_one_thread_bytes(use_bidfl, use_mcdf):
+    def one_thread(image, params):
+        return model_decide(model_encode(image, params, TINY, use_bidfl), params, TINY,
+                            use_bidfl, use_mcdf, 10.0)
+
+    def split(image, params):
+        return model_forward(image, params, TINY, use_bidfl, use_mcdf, 10.0)
+
+    assert split_heads_step(use_bidfl, use_mcdf, split) == \
+        split_heads_step(use_bidfl, use_mcdf, one_thread)
+
+
+@CELLS
+def test_mcdf_forward_runs_the_first_half_of_the_heads_on_one_worker(
+        use_bidfl, use_mcdf, monkeypatch):
+    """An MCDF cell's forward pass starts one thread, which runs the first
+    half of the heads while the caller runs the second; a sum-fused cell
+    starts none."""
+    params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
+    heads = len(TINY.head_windows(use_bidfl))
+    kernels = [params[f"head.{k}.cls.kernel"] for k in range(heads)]
+    ran, starts = {}, []
+    start = threading.Thread.start
+
+    def classify_upsample(feature, head):
+        ran[next(k for k, kernel in enumerate(kernels)
+                 if kernel is head.classifier.kernel)] = threading.current_thread()
+        return mcdf_classify_upsample(feature, head)
+
+    def recorded(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(mcdf, "classify_upsample", classify_upsample)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    before = threading.active_count()
+    model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY, use_bidfl, use_mcdf, 10.0)
+    assert threading.active_count() == before
+    half = heads // 2 if use_mcdf else 0
+    assert len(starts) == (1 if use_mcdf else 0)
+    assert [ran[k] for k in range(heads)] == \
+        starts * half + [threading.main_thread()] * (heads - half)
+
+
+@pytest.mark.parametrize("failing", [0, 6], ids=["worker_half", "caller_half"])
+def test_a_head_error_surfaces_as_itself_with_the_worker_joined(failing, monkeypatch):
+    params = build_params(TINY, seed=2, use_bidfl=True)
+    bad = params[f"head.{failing}.cls.kernel"]
+
+    def classify_upsample(feature, head):
+        if head.classifier.kernel is bad:
+            raise Boom(f"head {failing}")
+        return mcdf_classify_upsample(feature, head)
+
+    monkeypatch.setattr(mcdf, "classify_upsample", classify_upsample)
+    before = threading.active_count()
+    with pytest.raises(Boom, match=f"^head {failing}$"):
+        model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY, True, True, 10.0)
     assert threading.active_count() == before
 
 

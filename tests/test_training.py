@@ -8,7 +8,8 @@ from lesionseg import training
 from lesionseg.autodiff import Tensor, softmax_channels
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.data import Sample, SynthConfig, gen_synthetic
-from lesionseg.model import ModelConfig, model_forward
+from lesionseg.metrics import compute_metrics, confusion
+from lesionseg.model import PREDICT_CHUNK, ModelConfig, build_params, model_forward, predict_mask
 from lesionseg.training import (
     AugmentDraw,
     LossRecord,
@@ -260,6 +261,29 @@ class TestTrainLoop:
         assert len(report.entries) == 4
         assert len(ids) == 4
         assert 0.0 <= report.mean.ja <= 1.0
+
+    @pytest.mark.parametrize("use_bidfl, use_mcdf", [(True, True), (False, False)],
+                             ids=["full", "baseline"])
+    def test_evaluate_predicts_one_batch_with_the_per_image_masks(
+            self, use_bidfl, use_mcdf, monkeypatch):
+        count = 2 * PREDICT_CHUNK + 1       # whole chunks and a remainder
+        ds = tiny_dataset(count=count, seed=3)
+        params = build_params(TINY, seed=1, use_bidfl=use_bidfl)
+        batches = []
+
+        def recorded(image, *args):
+            batches.append(predict_mask(image, *args))
+            return batches[-1]
+
+        monkeypatch.setattr(training, "predict_mask", recorded)
+        report, ids = evaluate(ds, params, TINY, use_bidfl, use_mcdf, 10.0)
+        singles = [predict_mask(s.image, params, TINY, use_bidfl, use_mcdf, 10.0)
+                   for s in ds]
+        assert len(batches) == 1
+        assert [m.tobytes() for m in batches[0]] == [m.tobytes() for m in singles]
+        assert report.entries == [compute_metrics(confusion(m, s.mask.data[0]))
+                                  for m, s in zip(singles, ds)]
+        assert ids == [s.id for s in ds]
 
 
 class TestOneHot:
