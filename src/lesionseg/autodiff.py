@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 A Tensor wraps a numpy array (channels x height x width layout for images,
 optional leading batch axis) and records the operation that produced it.
@@ -39,8 +39,17 @@ as one task that returns their gradients and accumulates nothing: the
 caller runs the first half, waits for the task, then accumulates every
 map's gradient in order, so no leaf is summed out of walk order.
 
-All arithmetic is 64-bit. Graphs are throwaway: they are rebuilt from
-scratch on every forward pass.
+A tensor holds float32 data as float32 and anything else as float64, and
+every op computes in its inputs' dtype: the model runs in float32, the
+dtype of its parameters, while gradcheck and the oracles build float64
+tensors and get float64 results. A Python or NumPy scalar operand takes
+the tensor's dtype. Tensor operands of different float dtypes are promoted
+as numpy promotes them, so the result is float64, and each operand's
+gradient comes back in the operand's own dtype. The one computation that
+stays float64 whatever the input is the windowed variance's integral
+images, constancy gate and adjoint sums: their sums run over the whole map
+and cancel in mean(x^2) - mean(x)^2. Graphs are throwaway: they are
+rebuilt from scratch on every forward pass.
 """
 
 from __future__ import annotations
@@ -90,7 +99,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         if any(s < 1 for s in arr.shape):
@@ -117,6 +128,9 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def _accum(self, g: np.ndarray) -> None:
+        # an operand of a promoted op gets its gradient in its own dtype
+        if g.dtype != self.data.dtype:
+            g = g.astype(self.data.dtype)
         self.grad = g if self.grad is None else self.grad + g
 
     def _take_grad(self) -> np.ndarray | None:
@@ -186,16 +200,24 @@ class Tensor:
     # -- elementwise arithmetic (numpy broadcasting, gradients summed back) --
 
     def __add__(self, other):
-        return _add(self, _as_tensor(other))
+        return _add(self, self._operand(other))
 
     def __sub__(self, other):
-        return _add(self, _neg(_as_tensor(other)))
+        return _add(self, _neg(self._operand(other)))
 
     def __mul__(self, other):
-        return _mul(self, _as_tensor(other))
+        return _mul(self, self._operand(other))
 
     def __truediv__(self, other):
-        return _div(self, _as_tensor(other))
+        return _div(self, self._operand(other))
+
+    def _operand(self, other) -> "Tensor":
+        """other as a tensor; a scalar takes this tensor's dtype, so a float32
+        graph stays float32 through `x / pixels`."""
+        if isinstance(other, Tensor):
+            return other
+        arr = np.asarray(other)
+        return Tensor(arr.astype(self.data.dtype) if arr.ndim == 0 else arr)
 
     def __neg__(self):
         return _neg(self)
@@ -245,10 +267,6 @@ def _node(op: str, value: np.ndarray, parents: tuple[Tensor, ...],
 def _accum_rules(rules: list[tuple[Tensor, Vjp]], g: np.ndarray) -> None:
     for p, vjp in rules:
         p._accum(vjp(g))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -428,7 +446,7 @@ def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
         # padded output row Y = y + pad sits at phase Y % s, phase row Y // s
         ph = max(ih + qh - 1, -(-(oh + pad) // s))
         pw = max(iw + qw - 1, -(-(ow + pad) // s))
-        phases = np.zeros((n, b, s, s, ph, pw))
+        phases = np.zeros((n, b, s, s, ph, pw), taps.dtype)
         for qy in range(qh):
             for qx in range(qw):
                 block = taps[:, :, qy * s:qy * s + s, qx * s:qx * s + s]
@@ -436,7 +454,7 @@ def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
                        qy:qy + ih, qx:qx + iw] += block
         padded = phases.transpose(0, 1, 4, 2, 5, 3).reshape(n, b, ph * s, pw * s)
         return padded[:, :, pad:pad + oh, pad:pad + ow]
-    out = np.zeros((n, b, oh, ow))
+    out = np.zeros((n, b, oh, ow), taps.dtype)
     for ky in range(kh):
         i0, i1, rs = _convt_tap_ranges(ky, ih, oh, stride, pad, dil)
         if i1 <= i0:
@@ -464,7 +482,7 @@ def _conv_node(op: str, x: Tensor, params: ConvParams, out4: np.ndarray,
     """Bias add, optional in-place ReLU, 3-d round trip and node of conv2d and
     its adjoint; the two rules take the 4-d output gradient."""
     squeezed = x.ndim == 3
-    out4 = np.ascontiguousarray(out4)
+    out4 = np.ascontiguousarray(out4, dtype=np.result_type(out4, params.bias.data))
     out4 += params.bias.data[None, :, None, None]
     if relu:
         np.maximum(out4, 0.0, out=out4)
@@ -673,8 +691,11 @@ def local_variance(x: np.ndarray, window: int) -> Variance:
     Single fused pass over stacked [x, x^2] box means. Exactly zero (with zero
     gradient) wherever the window is constant, which the Gaussian consistency
     weight relies on; the cutoff assumes window magnitudes within a few orders
-    of the map's global scale. At window 1 the variance is zero everywhere
-    and the adjoint is None.
+    of the map's global scale. The integral images, the gate and the
+    adjoint's sums are float64 whatever x's dtype, so a float32 map gets the
+    float64 gate; the variance and the adjoint's result come back in x's
+    dtype. At window 1 the variance is zero everywhere and the adjoint is
+    None.
     """
     if window < 1 or window % 2 == 0:
         raise EvenWindowError(f"window must be odd and >= 1, got {window}")
@@ -701,15 +722,15 @@ def local_variance(x: np.ndarray, window: int) -> Variance:
         # [g, g*m] / l^2, zero-padded by l - 1, past the zero row and column
         buf = np.zeros((2, *lead, h + 2 * window - 1, w + 2 * window - 1))
         g_in, gm_in = buf[..., window:window + h, window:window + w]
-        np.divide(gg, window * window, out=g_in)
+        np.divide(gg, window * window, out=g_in, dtype=np.float64)
         np.multiply(gg, m, out=gm_in)
         gm_in /= window * window
         folded = _box_sums(buf, window)
         a_g = _edge_fold(folded[0], r, h, w)
         a_gm = _edge_fold(folded[1], r, h, w)
-        return 2.0 * (x * a_g - a_gm)
+        return (2.0 * (x * a_g - a_gm)).astype(x.dtype, copy=False)
 
-    return np.where(gate, raw, 0.0), vjp
+    return np.where(gate, raw, 0.0).astype(x.dtype, copy=False), vjp
 
 
 def windowed_variance(x: Tensor, window: int) -> Tensor:

@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     pass
 
 
+class DtypeMismatchError(ValueError):
+    """An image that needs a gradient is not in the model's dtype."""
+
+
 # dilation used by blocks 4 and 5 whenever their configured stride is 1
 DILATED_BLOCK_RATES = {3: 2, 4: 4}
 # RGB: the loaders give every image three channels
@@ -61,9 +65,11 @@ class BlockFeatures:
 
 
 def add_conv(params: dict[str, Tensor], name: str, kernel: np.ndarray) -> None:
-    """Store one conv layer as trainable name.kernel and a zero name.bias."""
-    params[f"{name}.kernel"] = Tensor(kernel, requires_grad=True)
-    params[f"{name}.bias"] = Tensor(np.zeros(kernel.shape[0]), requires_grad=True)
+    """Store one conv layer as trainable name.kernel and a zero name.bias, in
+    float32, the model's dtype; the kernel is drawn in float64 and rounded."""
+    params[f"{name}.kernel"] = Tensor(kernel.astype(np.float32), requires_grad=True)
+    params[f"{name}.bias"] = Tensor(np.zeros(kernel.shape[0], np.float32),
+                                    requires_grad=True)
 
 
 def conv_params(params: dict[str, Tensor], name: str, **geometry) -> ConvParams:
@@ -93,11 +99,19 @@ def init_params(config: BackboneConfig, seed: int,
 
 def backbone_forward(image: Tensor, config: BackboneConfig,
                      params: dict[str, Tensor]) -> BlockFeatures:
+    """The five blocks, in the kernels' dtype: an image that needs no
+    gradient is cast to it, and one that needs a gradient must have it."""
     h, w = image.shape[-2], image.shape[-1]
     cum = block_factors(config)[-1]
     if h % cum or w % cum:
         raise ShapeMismatchError(
             f"spatial dims {h}x{w} not divisible by cumulative stride {cum}")
+    dtype = params["backbone.b1.kernel"].data.dtype
+    if image.data.dtype != dtype:
+        if image.requires_grad:
+            raise DtypeMismatchError(
+                f"image dtype {image.data.dtype} differs from the model's {dtype}")
+        image = Tensor(image.data.astype(dtype))
 
     x = image
     blocks: list[Tensor] = []
@@ -128,6 +142,8 @@ def block_factors(config: BackboneConfig) -> list[int]:
 #   magic "LSEGCKPT" | u32 version | u32 echo length | echo (key=value lines,
 #   utf-8) | u32 record count | records of
 #   u16 name length | name | u8 rank | u32 dims... | float64 data
+# The records are float64 on disk and hold the float32 parameters exactly;
+# they load as float32, so a float64 checkpoint is rounded once on load.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"LSEGCKPT"
@@ -177,9 +193,9 @@ def save_checkpoint(path, params: dict[str, Tensor], echo: dict[str, str]) -> No
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
-    """Parameters and echo of a checkpoint. Every read is length-checked and
-    every value must be finite, so a damaged file raises CheckpointError
-    naming it."""
+    """Float32 parameters and echo of a checkpoint. Every read is
+    length-checked and every value must be finite in float32, so a damaged
+    file raises CheckpointError naming it."""
     blob = Path(path).read_bytes()
     pos = 0
 
@@ -220,9 +236,14 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, str]]:
         if name in params or 0 in shape:
             raise CheckpointError(f"{path}: record {name} is repeated or empty")
         raw = take(8 * math.prod(shape), f"record {name}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: record {name} holds a non-finite value")
+        with np.errstate(over="ignore"):
+            data = data.astype(np.float32)
+        if not np.isfinite(data).all():
+            raise CheckpointError(
+                f"{path}: record {name} holds a value beyond float32's range")
         params[name] = Tensor(data, requires_grad=True)
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} bytes after the last record")

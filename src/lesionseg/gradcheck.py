@@ -34,6 +34,13 @@ TINY_MODEL = ModelConfig(
 )
 
 
+def _float64(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The model's float32 parameters as float64, so central differences at
+    eps 1e-5 resolve the pipeline's gradient."""
+    return {name: Tensor(p.data.astype(np.float64), requires_grad=True)
+            for name, p in params.items()}
+
+
 def grad_check(scalar_of: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -180,7 +187,7 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
         return grad_check(fusion, Tensor(rng.standard_normal((2, 8, 8))))
 
     def full_pipeline():
-        params = build_params(TINY_MODEL, seed=7, use_bidfl=True)
+        params = _float64(build_params(TINY_MODEL, seed=7, use_bidfl=True))
         labels = one_hot_masks((rng.random((1, 1, 8, 8)) > 0.7).astype(float))[0]
 
         def pipeline(t):
@@ -192,7 +199,7 @@ def _cases() -> list[tuple[str, Callable[[], float]]]:
     def full_pipeline_params():
         # a seed whose reduced map is alive, so the bank kernel's gradient is
         # not all zero
-        params = build_params(TINY_MODEL, seed=0, use_bidfl=True)
+        params = _float64(build_params(TINY_MODEL, seed=0, use_bidfl=True))
         image = Tensor(rng.random((3, 8, 8)))
         labels = one_hot_masks((rng.random((1, 1, 8, 8)) > 0.7).astype(float))[0]
         name = "bidfl.bank.0.kernel"

@@ -80,8 +80,10 @@ class LossRecord:
 
 
 def weighted_ce_loss(probs: Tensor, labels, weights: tuple[float, ...]) -> Tensor:
-    """Class-weighted cross entropy averaged over all pixels."""
-    onehot = labels.data if isinstance(labels, Tensor) else np.asarray(labels, float)
+    """Class-weighted cross entropy averaged over all pixels, in the
+    probabilities' dtype."""
+    dtype = probs.data.dtype
+    onehot = np.asarray(labels.data if isinstance(labels, Tensor) else labels, dtype)
     if onehot.shape != probs.shape:
         raise ShapeMismatchError(
             f"labels shape {onehot.shape} != probs shape {probs.shape}")
@@ -91,7 +93,7 @@ def weighted_ce_loss(probs: Tensor, labels, weights: tuple[float, ...]) -> Tenso
     if not np.isin(onehot, (0.0, 1.0)).all() \
             or not np.array_equal(onehot.sum(axis=-3), np.ones(onehot.sum(axis=-3).shape)):
         raise ValueError("labels must be one-hot over the class axis")
-    w = np.asarray(weights, dtype=float).reshape(
+    w = np.asarray(weights, dtype).reshape(
         (1,) * (probs.ndim - 3) + (-1, 1, 1))
     pixels = onehot.size // onehot.shape[-3]
     weight_map = Tensor(w * onehot)

@@ -107,6 +107,12 @@ class TestTensor:
         assert t.data.dtype == np.float64
         assert t.data.flags["C_CONTIGUOUS"]
 
+    def test_float32_data_stays_float32(self):
+        data = np.ones((2, 3), np.float32)
+        assert Tensor(data).data is data
+        for other in (np.ones(2, np.float16), np.ones(2, np.int32), [True, False]):
+            assert Tensor(other).data.dtype == np.float64
+
     def test_arithmetic_values(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 5.0])
         assert_allclose((a + b).data, [4.0, 7.0])
@@ -943,12 +949,13 @@ class TestGradChecks:
 class Leaves:
     """Seeded leaves that require gradients, remembered in creation order."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, dtype=np.float64):
         self.rng = np.random.default_rng(seed)
+        self.dtype = dtype
         self.made = []
 
     def __call__(self, *shape):
-        t = Tensor(self.rng.standard_normal(shape), requires_grad=True)
+        t = Tensor(self.rng.standard_normal(shape).astype(self.dtype), requires_grad=True)
         self.made.append(t)
         return t
 
@@ -1020,7 +1027,7 @@ class TestGradientHandOff:
         def model_gradients():
             rng = np.random.default_rng(4)
             params = build_params(TINY_MODEL, seed=0, use_bidfl=full)
-            image = Tensor(rng.random((2, 3, 8, 8)), requires_grad=True)
+            image = Tensor(rng.random((2, 3, 8, 8), np.float32), requires_grad=True)
             labels = one_hot_masks((rng.random((2, 1, 8, 8)) > 0.7).astype(float))
             _, probs, _ = model_forward(image, params, TINY_MODEL, use_bidfl=full,
                                         use_mcdf=full, sigma_sq=10.0)
@@ -1194,3 +1201,203 @@ class TestConv2dPerImageInputRule:
         magnitude = _convt_scatter(np.abs(g4), np.abs(kernel), s, pad, d, in_hw)
         bound = 2 * oc * kh * kw * np.finfo(np.float64).eps * magnitude
         assert np.all(np.abs(x.grad - batched) <= bound)
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OP_GRAPHS))
+    def test_op_keeps_its_inputs_dtype(self, op, dtype, accumulated_dtypes):
+        """Every op computes in its inputs' dtype, forward and backward; the
+        scalars in the graphs (`+ 1.0`) take the tensors' dtype."""
+        leaves = Leaves(0, dtype)
+        out = OP_GRAPHS[op](leaves)
+        assert out.data.dtype == dtype
+        weights = leaves.rng.standard_normal(out.shape).astype(dtype)
+        (out * Tensor(weights)).sum().backward()
+        assert set(accumulated_dtypes) == {np.dtype(dtype)}
+        assert all(t.grad.dtype == dtype for t in leaves.made)
+
+    @pytest.mark.parametrize("scalar", [7, 0.1, np.float64(0.1), np.int64(3),
+                                        np.array(0.1)])
+    def test_a_scalar_takes_the_tensors_dtype(self, scalar):
+        x = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        for out in (x + scalar, x - scalar, x * scalar, x / scalar):
+            assert out.data.dtype == np.float32
+        (x / scalar).sum().backward()
+        assert x.grad.dtype == np.float32
+
+    def test_mixed_float_operands_are_promoted(self):
+        """Tensor operands of different float dtypes compute in float64, as
+        numpy promotes them, and each gets its gradient in its own dtype."""
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        out = a * b + a / b
+        assert out.data.dtype == np.float64
+        assert_allclose(out.data, a.data.astype(np.float64) * b.data
+                        + a.data.astype(np.float64) / b.data)
+        out.sum().backward()
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        params = ConvParams(
+            Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True),
+            Tensor(np.zeros(4, np.float32), requires_grad=True), padding=1)
+        out = concat_channels([conv2d(x, params, relu=True), x])
+        assert out.data.dtype == np.float64
+        out.sum().backward()
+        assert x.grad.dtype == np.float64
+        assert params.kernel.grad.dtype == params.bias.grad.dtype == np.float32
+
+        # a float64 bias promotes a float32 product too
+        wide_bias = ConvParams(Tensor(params.kernel.data), Tensor(np.zeros(4)), padding=1)
+        assert conv2d(Tensor(x.data.astype(np.float32)), wide_bias).data.dtype == np.float64
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def narrow_and_wide(rng, *shapes, scale=1.0):
+    """float32 draws, and the same values in float64."""
+    narrow = [(rng.standard_normal(s) * scale).astype(np.float32) for s in shapes]
+    return narrow, [a.astype(np.float64) for a in narrow]
+
+
+def assert_within(narrow, wide, depth, magnitude, floor=0.0):
+    """A float32 result lies within depth float32 epsilons of the float64
+    result on the same values, relative to the magnitude of its terms: the
+    forward error bound of a depth-term sum, each term rounded once. floor
+    bounds what underflow below float32's normal range adds."""
+    assert narrow.dtype == np.float32
+    error = np.abs(narrow.astype(np.float64) - wide)
+    assert np.all(error <= depth * EPS32 * magnitude + floor), (error / magnitude).max()
+
+
+def bilinear_run(op, x, kernel, bias, g, geometry):
+    """op's value and its input, kernel and bias gradients under the output
+    weights g."""
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
+    out = op(xt, ConvParams(kt, bt, **geometry))
+    (out * Tensor(g)).sum().backward()
+    return out.data, xt.grad, kt.grad, bt.grad
+
+
+def assert_bilinear_within(op, rng, x_shape, kernel_shape, out_shape, geometry,
+                           depths):
+    """op at float32 against float64 on the same values; each value and
+    gradient is a sum of products, so running op on the absolute values
+    gives the magnitude of its terms."""
+    (x, kernel, bias), wide = narrow_and_wide(rng, x_shape, kernel_shape,
+                                              (out_shape[-3],), scale=2.0)
+    g = rng.standard_normal(out_shape).astype(np.float32)
+    narrow = bilinear_run(op, x, kernel, bias, g, geometry)
+    exact = bilinear_run(op, *wide, g.astype(np.float64), geometry)
+    magnitude = bilinear_run(op, *(np.abs(a) for a in wide), np.abs(g.astype(np.float64)),
+                             geometry)
+    for got, want, depth, size in zip(narrow, exact, depths, magnitude):
+        assert_within(got, want, depth, size)
+
+
+class TestFloat32Bounds:
+    """Each op at float32 against float64 on the same float32 values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["pointwise", "dilated", "strided"]), st.booleans(),
+           st.integers(1, 4), st.integers(1, 4),
+           st.tuples(st.integers(5, 12), st.integers(5, 12)), st.integers(0, 2**32 - 1))
+    def test_conv2d(self, kind, batched, c, oc, hw, seed):
+        k, s, p, d = {"pointwise": (1, 1, 0, 1), "dilated": (3, 1, 2, 2),
+                      "strided": (3, 2, 1, 1)}[kind]
+        n = 2 if batched else 1
+        lead = (n,) if batched else ()
+        out_hw = tuple(_conv_out_dim(i, k, s, p, d) for i in hw)
+        # value: c*k*k products and the bias; input gradient: oc*k*k
+        # products; kernel and bias gradients: one per output pixel
+        depths = (c * k * k + 1, oc * k * k, n * out_hw[0] * out_hw[1],
+                  n * out_hw[0] * out_hw[1])
+        assert_bilinear_within(conv2d, np.random.default_rng(seed), (*lead, c, *hw),
+                               (oc, c, k, k), (*lead, oc, *out_hw),
+                               {"stride": s, "padding": p, "dilation": d}, depths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
+           st.integers(1, 3), st.integers(1, 3),
+           st.tuples(st.integers(2, 6), st.integers(2, 6)), st.integers(0, 2**32 - 1))
+    def test_conv_transpose2d(self, k, s, d, p, a, b, in_hw, seed):
+        out_hw = tuple((i - 1) * s + d * (k - 1) + 1 - 2 * p for i in in_hw)
+        assume(min(out_hw) >= 1)
+        # value: a*k*k products and the bias; input gradient: b*k*k
+        # products; kernel gradient: one per input pixel, bias: per output
+        depths = (a * k * k + 1, b * k * k, in_hw[0] * in_hw[1], out_hw[0] * out_hw[1])
+        assert_bilinear_within(conv_transpose2d, np.random.default_rng(seed),
+                               (a, *in_hw), (a, b, k, k), (b, *out_hw),
+                               {"stride": s, "padding": p, "dilation": d}, depths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.tuples(st.integers(2, 9), st.integers(2, 9)),
+           st.integers(0, 2**32 - 1))
+    def test_max_pool2d_is_exact(self, c, hw, seed):
+        """A maximum rounds nothing: depth 0, so float32 equals float64."""
+        rng = np.random.default_rng(seed)
+        (x,), (wide,) = narrow_and_wide(rng, (c, *hw))
+        g = rng.standard_normal((c, hw[0] // 2, hw[1] // 2)).astype(np.float32)
+        results = []
+        for data, weights in ((x, g), (wide, g.astype(np.float64))):
+            t = Tensor(data, requires_grad=True)
+            out = max_pool2d(t)
+            (out * Tensor(weights)).sum().backward()
+            results.append((out.data, t.grad))
+        for narrow, exact in zip(*results):
+            assert narrow.dtype == np.float32
+            assert np.array_equal(narrow, exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.floats(0.1, 8.0), st.integers(0, 2**32 - 1))
+    def test_softmax_channels(self, c, scale, seed):
+        """Each probability's relative error: one rounding of x - max, which
+        exp scales by |x - max|; exp's own (at most 4 ulps) twice, through
+        the term and through the sum; c - 1 adds and one division."""
+        (x,), (wide,) = narrow_and_wide(np.random.default_rng(seed), (c, 4, 5), scale=scale)
+        exact = softmax_channels(Tensor(wide)).data
+        spread = (wide.max(axis=0) - wide.min(axis=0)).max()
+        assert_within(softmax_channels(Tensor(x)).data, exact, c + 8 + spread, exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 3, 5]), st.booleans(),
+           st.tuples(st.integers(5, 10), st.integers(5, 10)), st.floats(0.01, 100.0),
+           st.integers(0, 2**32 - 1))
+    def test_local_variance_is_float64_rounded_once(self, window, batched, hw, scale,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        lead = (2,) if batched else ()
+        (x, g), (wide, g_wide) = narrow_and_wide(rng, (*lead, 2, *hw), (*lead, 2, *hw),
+                                                 scale=scale)
+        narrow, narrow_vjp = local_variance(x, window)
+        exact, exact_vjp = local_variance(wide, window)
+        assert narrow.tobytes() == exact.astype(np.float32).tobytes()
+        if window > 1:
+            assert narrow_vjp(g).tobytes() == exact_vjp(g_wide).astype(np.float32).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.lists(st.sampled_from([1, 3, 5]), min_size=4, max_size=4),
+           st.floats(0.1, 10.0), st.floats(0.5, 20.0), st.integers(0, 2**32 - 1))
+    def test_gaussian_weighted_sum(self, count, windows, scale, sigma_sq, seed):
+        """Each weight's relative error: the rounded variance, sigma_sq and
+        the division, which exp scales by v / sigma_sq, and exp's own (at
+        most 4 ulps); then one product and count - 1 adds, relative to the
+        sum of the terms' magnitudes. A weight below float32's normal range
+        is off by at most that range's bound, times its map."""
+        rng = np.random.default_rng(seed)
+        narrow, wide = narrow_and_wide(rng, *[(2, 7, 7)] * count, scale=scale)
+        windows = windows[:count]
+
+        def fused(maps):
+            return gaussian_weighted_sum(
+                [Tensor(m) for m in maps], [local_variance(m, l) for m, l in zip(maps, windows)],
+                sigma_sq).data
+        variances = [local_variance(m, l)[0] for m, l in zip(wide, windows)]
+        magnitude = sum(np.exp(-v / sigma_sq) * np.abs(m) for v, m in zip(variances, wide))
+        exponent = max(v.max() for v in variances) / sigma_sq
+        floor = np.finfo(np.float32).tiny * sum(np.abs(m) for m in wide)
+        assert_within(fused(narrow), fused(wide), count + 8 + 2 * exponent, magnitude,
+                      floor)

@@ -9,6 +9,7 @@ from lesionseg.backbone import (
     BackboneConfig,
     CheckpointError,
     ConfigError,
+    DtypeMismatchError,
     atomic_write,
     backbone_forward,
     block_factors,
@@ -97,6 +98,22 @@ def test_reduction_is_built_and_run_only_on_request():
         assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_forward_runs_in_the_kernels_dtype():
+    params = init_params(DESK, seed=3)
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+    image = np.random.default_rng(0).random((3, 16, 16))
+    narrow = backbone_forward(Tensor(image), DESK, params)
+    assert narrow.per_block[-1].data.dtype == np.float32
+    assert np.array_equal(
+        narrow.per_block[-1].data,
+        backbone_forward(Tensor(image.astype(np.float32)), DESK, params).per_block[-1].data)
+    with pytest.raises(DtypeMismatchError,
+                       match="^image dtype float64 differs from the model's float32$"):
+        backbone_forward(Tensor(image, requires_grad=True), DESK, params)
+    wide = {name: Tensor(p.data.astype(np.float64)) for name, p in params.items()}
+    assert backbone_forward(Tensor(image), DESK, wide).per_block[-1].data.dtype == np.float64
+
+
 def test_divisibility_error():
     params = init_params(DESK, seed=0)
     with pytest.raises(ShapeMismatchError):
@@ -134,8 +151,34 @@ def test_checkpoint_roundtrip(tmp_path):
     assert echo2 == echo
     assert set(loaded) == set(params)
     for name in params:
-        assert np.array_equal(loaded[name].data, params[name].data)
+        # float32 parameters read back in float32, bit for bit
+        assert loaded[name].data.dtype == np.float32
+        assert loaded[name].data.tobytes() == params[name].data.tobytes()
         assert loaded[name].requires_grad
+
+
+def test_float64_checkpoint_is_rounded_once_on_load(tmp_path):
+    rng = np.random.default_rng(5)
+    wide = {"a.kernel": Tensor(rng.standard_normal((2, 3, 3, 3))),
+            # just above float32's largest value, but rounding down to it
+            "b.bias": Tensor(np.array([np.finfo(np.float32).max * (1 + 2.0**-30), -1e-50]))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, wide, {"seed": "1"})
+    loaded, _ = load_checkpoint(path)
+    for name, p in wide.items():
+        assert loaded[name].data.tobytes() == p.data.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("value", [1e39, -3.5e38], ids=["above", "below"])
+def test_checkpoint_rejects_a_value_beyond_float32(tmp_path, value):
+    params = {"a.kernel": Tensor(np.arange(6.0).reshape(1, 2, 3)),
+              "b.bias": Tensor(np.array([1.0, value]))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, {"seed": "1"})
+    with pytest.raises(CheckpointError, match=(
+            f"^{re.escape(str(path))}: record b.bias holds a value beyond "
+            f"float32's range$")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

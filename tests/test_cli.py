@@ -422,6 +422,42 @@ class TestWorkflow:
             f"error: {bad}: record head.0.cls.kernel holds a non-finite value\n")
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_rejects_a_record_beyond_float32(self, workspace, tmp_path, capsys, command):
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        params["head.0.cls.bias"] = Tensor(np.array([0.0, 1e39]))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, echo)
+        source = "--data" if command == "eval" else "--input"
+        capsys.readouterr()
+        code = run_cli(command, "--checkpoint", str(bad), source, str(data),
+                       "--out", str(tmp_path / "out"), *sets())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: record head.0.cls.bias holds a value beyond float32's range\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_float64_checkpoint_serves(self, workspace, tmp_path):
+        # a version-1 checkpoint of float64 values, each within half a
+        # float32 ulp of the trained one, so it rounds back to it on load
+        _, data, run = workspace
+        params, echo = load_checkpoint(run / "checkpoint.ckpt")
+        wide = {name: Tensor(p.data.astype(np.float64) * (1 + 2.0**-30))
+                for name, p in params.items()}
+        assert any(not np.array_equal(w.data, w.data.astype(np.float32))
+                   for w in wide.values())
+        older = tmp_path / "wide.ckpt"
+        save_checkpoint(older, wide, echo)
+        for name, ckpt in (("now", run / "checkpoint.ckpt"), ("wide", older)):
+            assert run_cli("predict", "--checkpoint", str(ckpt), "--input", str(data),
+                           "--out", str(tmp_path / name / "pred"), *sets()) == 0
+            assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(data),
+                           "--out", str(tmp_path / name / "eval"), *sets()) == 0
+        for rel in [f"pred/synth{i:04d}.pgm" for i in range(6)] + ["eval/metrics.csv"]:
+            assert filecmp.cmp(tmp_path / "now" / rel, tmp_path / "wide" / rel,
+                               shallow=False), rel
+
     def test_train_with_non_finite_parameter_keeps_its_loss_log(
             self, workspace, tmp_path, capsys, monkeypatch):
         # every loss was finite, but the last update overflowed a parameter

@@ -113,13 +113,23 @@ def test_forward_shapes_all_ablations():
     image = Tensor(rng.random((3, 32, 32)))
     for use_bidfl in (False, True):
         params = build_params(TINY, seed=1, use_bidfl=use_bidfl)
+        wide = {name: Tensor(p.data.astype(np.float64)) for name, p in params.items()}
         for use_mcdf in (False, True):
-            logits, probs, stack = model_forward(image, params, TINY, use_bidfl,
-                                                 use_mcdf, sigma_sq=10.0)
-            assert logits.shape == (2, 32, 32)
-            assert probs.shape == (2, 32, 32)
-            assert len(stack.maps) == (7 if use_bidfl else 5)
-            np.testing.assert_allclose(probs.data.sum(axis=0), 1.0, atol=1e-12)
+            def forward(params):
+                logits, probs, stack = model_forward(image, params, TINY, use_bidfl,
+                                                     use_mcdf, sigma_sq=10.0)
+                assert logits.shape == (2, 32, 32)
+                assert probs.shape == (2, 32, 32)
+                assert len(stack.maps) == (7 if use_bidfl else 5)
+                return probs.data
+            probs = forward(wide)
+            assert probs.dtype == np.float64
+            np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+            # float32: the exp errors cancel in the two-class sum, which is
+            # left with the sum's, the divisions' and the add's roundings
+            probs = forward(params)
+            assert probs.dtype == np.float32
+            assert np.abs(probs.sum(axis=0) - 1.0).max() <= 2 * np.finfo(np.float32).eps
 
 
 class ReadLog(dict):
@@ -420,6 +430,18 @@ def desk_loss(use_bidfl, use_mcdf):
 
 
 @CELLS
+def test_desk_step_runs_in_float32(use_bidfl, use_mcdf, accumulated_dtypes):
+    """The parameters carry float32 and nothing promotes it: a float64 scalar
+    or label would turn the loss, and with it all of backward, into float64."""
+    params, loss = desk_loss(use_bidfl, use_mcdf)
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+    assert loss.data.dtype == np.float32
+    grads = gradients(loss, params)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    assert set(accumulated_dtypes) == {np.dtype(np.float32)}
+
+
+@CELLS
 def test_backward_releases_the_desk_graph(use_bidfl, use_mcdf):
     params, loss = desk_loss(use_bidfl, use_mcdf)
     nodes, stack = {}, [loss]
@@ -444,7 +466,8 @@ def test_backward_releases_the_desk_graph(use_bidfl, use_mcdf):
 def test_desk_training_step_peak_memory(full, bound_mb):
     """Backward frees each node once its rules have run, conv2d's kernel rule
     rebuilds its columns rather than keep them, and the fusion keeps only its
-    weights, so one step peaks at about 37 MB (full) and 30 MB (baseline).
+    weights, so one float32 step peaks at about 21 MB (full) and 16 MB
+    (baseline); in float64 it peaked at about 35 and 32 MB.
     With the columns and the fusion's intermediates kept it peaked at about
     81 and 47 MB, and with the graph also kept whole until backward returned,
     at about 154 and 83 MB."""
