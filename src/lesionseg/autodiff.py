@@ -39,6 +39,11 @@ as one task that returns their gradients and accumulates nothing: the
 caller runs the first half, waits for the task, then accumulates every
 map's gradient in order, so no leaf is summed out of walk order.
 
+The fusion's forward pass also uses a second thread when it records a node:
+a worker takes the windowed variances of the first half of the maps while
+the caller takes the second half. The worker reads those maps and writes
+only the arrays it makes, and it is joined before the weights are formed.
+
 A tensor holds float32 data as float32 and anything else as float64, and
 every op computes in its inputs' dtype: the model runs in float32, the
 dtype of its parameters, while gradcheck and the oracles build float64
@@ -678,14 +683,11 @@ def _edge_fold(gp: np.ndarray, r: int, h: int, w: int) -> np.ndarray:
 # Relative floor below which the cancellation form mean(x^2) - mean(x)^2 is
 # integral-image rounding noise; such windows count as exactly constant. The
 # noise scales with the cumsum extent, hence the padded-area factor applied
-# by local_variance.
+# by _local_variance.
 _VAR_FLOOR_EPS = 32 * np.finfo(np.float64).eps
 
-# a map's windowed variance and its adjoint, as local_variance returns them
-Variance = tuple[np.ndarray, Vjp | None]
 
-
-def local_variance(x: np.ndarray, window: int) -> Variance:
+def _local_variance(x: np.ndarray, window: int) -> tuple[np.ndarray, Vjp | None]:
     """Windowed population variance with edge replication, and its adjoint.
 
     Single fused pass over stacked [x, x^2] box means. Exactly zero (with zero
@@ -734,39 +736,64 @@ def local_variance(x: np.ndarray, window: int) -> Variance:
 
 
 def windowed_variance(x: Tensor, window: int) -> Tensor:
-    """local_variance as an op: the same value, differentiated by its adjoint."""
-    value, vjp = local_variance(x.data, window)
+    """_local_variance as an op: the same value, differentiated by its adjoint."""
+    value, vjp = _local_variance(x.data, window)
     return Tensor(value) if vjp is None else _node("windowed_variance", value, (x,), vjp)
 
 
-def gaussian_weighted_sum(maps: Sequence[Tensor], variances: Sequence[Variance],
+def gaussian_weighted_sum(maps: Sequence[Tensor], windows: Sequence[int],
                           sigma_sq: float, stop_grad: bool = False) -> Tensor:
     """sum_k exp(-v_k / sigma_sq) * S_k, added left to right, as one node
     whose parents are the maps alone.
 
-    variances[k] is map k's variance v_k and its adjoint, as local_variance
-    returns them. The node keeps the K weights and the adjoints. Map k's
-    gradient is g * alpha_k + adjoint_k(-(((g * S_k) * alpha_k) / sigma_sq)),
-    the bytes that separate variance, neg, div, exp, mul and add nodes give;
-    stop_grad, or an adjoint of None, leaves the second term out. The walk's
-    worker runs the second half of the maps' rules.
+    v_k is map k's windowed variance at windows[k], which the op takes
+    itself. The node keeps the K weights and the adjoints of the variances
+    of maps that need a gradient. Map k's gradient is
+    g * alpha_k + adjoint_k(-(((g * S_k) * alpha_k) / sigma_sq)), the bytes
+    that separate variance, neg, div, exp, mul and add nodes give; stop_grad,
+    or window 1, leaves the second term out, and stop_grad keeps no adjoint.
+
+    A node that records takes its variances on two threads: one worker takes
+    the first half of them while this thread takes the second, and the
+    worker is joined before the weights are formed, and before this raises.
+    One that records nothing takes them all here. The walk's worker runs the
+    second half of the maps' rules.
     """
-    if len(variances) != len(maps):
+    if len(windows) != len(maps):
         raise ShapeMismatchError(
-            f"gaussian_weighted_sum: {len(maps)} maps but {len(variances)} variances")
-    alphas = [np.exp(-v / sigma_sq) for v, _ in variances]
+            f"gaussian_weighted_sum: {len(maps)} maps but {len(windows)} windows")
+
+    def take(part):
+        taken = []
+        for score, window in part:
+            value, adjoint = _local_variance(score.data, window)
+            # an adjoint no rule runs is freed at once, with its means and gate
+            taken.append((value, adjoint if score.requires_grad and not stop_grad else None))
+        return taken
+
+    pairs = list(zip(maps, windows))
+    half = len(pairs) // 2 if any(m.requires_grad for m in maps) else 0
+    if half:
+        with ThreadPoolExecutor(1) as worker:
+            # the task runs in this thread's context, so np.errstate reaches it
+            first = worker.submit(copy_context().run, take, pairs[:half])
+            second = take(pairs[half:])
+        taken = first.result() + second
+    else:
+        taken = take(pairs)
+    alphas = [np.exp(-v / sigma_sq) for v, _ in taken]
     fused = alphas[0] * maps[0].data
     for alpha, score in zip(alphas[1:], maps[1:]):
         fused += alpha * score.data
 
     def rule(a: np.ndarray, s: np.ndarray, adjoint: Vjp | None) -> Vjp:
-        if stop_grad or adjoint is None:
+        if adjoint is None:
             return lambda g: g * a
         return lambda g: g * a + adjoint(-(((g * s) * a) / sigma_sq))
 
     return _node("gaussian_weighted_sum", fused, tuple(maps),
                  *(rule(a, m.data, adjoint)
-                   for a, m, (_, adjoint) in zip(alphas, maps, variances)),
+                   for a, m, (_, adjoint) in zip(alphas, maps, taken)),
                  split=True)
 
 

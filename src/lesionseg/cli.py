@@ -263,15 +263,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_suite
+    from .gradcheck import TOLERANCE, run_suite
     results = run_suite()
     worst = 0.0
     for name, err in results:
-        status = "ok" if err < args.tol else "FAIL"
+        status = "ok" if err < TOLERANCE else "FAIL"
         worst = max(worst, err)
         print(f"{status:4s} {name:32s} max relative error {err:.3e}")
-    print(f"worst case {worst:.3e} (tolerance {args.tol:.0e})")
-    return 0 if worst < args.tol else 2
+    print(f"worst case {worst:.3e} (tolerance {TOLERANCE:.0e})")
+    return 0 if worst < TOLERANCE else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,7 +318,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

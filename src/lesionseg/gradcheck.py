@@ -27,6 +27,9 @@ from .mcdf import ScoreStack, fuse_scores
 from .model import ModelConfig, build_params, model_forward
 from .training import one_hot_masks, weighted_ce_loss
 
+# the largest relative error a case may show; criterion 1 accepts no other
+TOLERANCE = 1e-4
+
 TINY_MODEL = ModelConfig(
     backbone=BackboneConfig(channels=(3, 4, 4, 4, 4), strides=(1, 2, 2, 1, 1),
                             reduce_channels=3),

@@ -10,19 +10,10 @@ weights. A plain sum over maps serves as the ablation baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .autodiff import (
-    ConvParams,
-    Tensor,
-    Variance,
-    conv2d,
-    conv_transpose2d,
-    gaussian_weighted_sum,
-    local_variance,
-)
+from .autodiff import ConvParams, Tensor, conv2d, conv_transpose2d, gaussian_weighted_sum
 from .backbone import BlockFeatures, ConfigError, add_conv, conv_params, he_kernel
 
 
@@ -35,8 +26,6 @@ class ScoreStack:
     maps: list[Tensor]
     windows: tuple[int, ...]
     sigma_sq: float
-    # each map's windowed variance and its adjoint, when the heads took them
-    variances: list[Variance] | None = None
 
     def __post_init__(self):
         if len(self.windows) != len(self.maps):
@@ -54,22 +43,9 @@ def fuse_scores(stack: ScoreStack, stop_grad_alpha: bool = False) -> Tensor:
 
     Differentiates through the weights by default; stop_grad_alpha freezes
     them for ablation. The variance feeds the Gaussian directly (no sqrt on
-    the path) so constant regions have clean gradients. The variances are
-    the stack's, or taken here when the heads did not take them.
+    the path) so constant regions have clean gradients.
     """
-    variances = stack.variances
-    if variances is None:
-        variances = [_score_variance(score, window)
-                     for score, window in zip(stack.maps, stack.windows)]
-    return gaussian_weighted_sum(stack.maps, variances, stack.sigma_sq, stop_grad_alpha)
-
-
-def _score_variance(score: Tensor, window: int) -> Variance:
-    """A score map's windowed variance, with its adjoint when the map needs a
-    gradient; a map that needs none, as in predict_mask, frees the adjoint's
-    window means and gate at once rather than hold them through the fusion."""
-    value, adjoint = local_variance(score.data, window)
-    return value, adjoint if score.requires_grad else None
+    return gaussian_weighted_sum(stack.maps, stack.windows, stack.sigma_sq, stop_grad_alpha)
 
 
 def sum_fuse(stack: ScoreStack) -> Tensor:
@@ -133,40 +109,18 @@ def classify_upsample(feature: Tensor, head: HeadParams) -> Tensor:
     return scores
 
 
-def _scored_head(feature: Tensor, head: HeadParams,
-                 window: int) -> tuple[Tensor, Variance]:
-    """One head's task: its score map and the map's windowed variance."""
-    scores = classify_upsample(feature, head)
-    return scores, _score_variance(scores, window)
-
-
 def score_heads(blocks: BlockFeatures, fused_bidfl: Tensor | None,
                 per_level: list[Tensor], params: list[HeadParams],
-                windows: tuple[int, ...], sigma_sq: float,
-                submit: Callable | None = None) -> ScoreStack:
+                windows: tuple[int, ...], sigma_sq: float) -> ScoreStack:
     """Class-score maps from every skip layer, all at full label resolution.
 
     Sources are the five block outputs followed by the per-level maps; when
     the bidirectional module is active its fused output replaces the raw
     block-5 feature, so the top-layer head reads the enhanced representation.
-
-    submit, when given, runs a task on a worker thread and returns its
-    future. Each head then also takes its map's windowed variance, the first
-    half of the heads runs on the worker as one task and this thread runs
-    the second half. The tasks read the sources and parameters and write
-    nothing that another task reads.
     """
     sources = list(blocks.per_block)
     if fused_bidfl is not None:
         sources[4] = fused_bidfl
     sources.extend(per_level)
-    if submit is None:
-        maps = [classify_upsample(src, head) for src, head in zip(sources, params)]
-        return ScoreStack(maps=maps, windows=tuple(windows), sigma_sq=sigma_sq)
-    heads = list(zip(sources, params, windows))
-    half = len(heads) // 2
-    first = submit(lambda: [_scored_head(*h) for h in heads[:half]])
-    second = [_scored_head(*h) for h in heads[half:]]
-    scored = first.result() + second
-    return ScoreStack(maps=[m for m, _ in scored], windows=tuple(windows),
-                      sigma_sq=sigma_sq, variances=[v for _, v in scored])
+    maps = [classify_upsample(src, head) for src, head in zip(sources, params)]
+    return ScoreStack(maps=maps, windows=tuple(windows), sigma_sq=sigma_sq)

@@ -10,8 +10,8 @@ from lesionseg.autodiff import Tensor
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that leaves a thread alive: predict_mask's pipeline, the
-    training forward pass's head worker and backward's worker are joined
-    before their calls return or raise."""
+    fusion's forward worker and backward's worker are joined before their
+    calls return or raise."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
+from lesionseg import autodiff
 from lesionseg.autodiff import (
     ConvParams,
     DegenerateOutputError,
@@ -23,7 +24,6 @@ from lesionseg.autodiff import (
     conv_transpose2d,
     gaussian_weighted_sum,
     gradients,
-    local_variance,
     log,
     max_pool2d,
     pad2d,
@@ -36,6 +36,7 @@ from lesionseg.autodiff import (
     _convt_scatter,
     _im2col_channel_major,
     _kernel_grad,
+    _local_variance,
 )
 from lesionseg.gradcheck import TINY_MODEL, grad_check
 from lesionseg.model import build_params, model_forward
@@ -221,7 +222,7 @@ class TestNode:
         x = Tensor(rng.standard_normal((2, 5, 5)))
         p = make_params(rng.standard_normal((3, 2, 3, 3)), padding=1)
         outs = [x * x + 1.0, -x / 2.0, clip_min(x, 0.0), log(x * x + 1.0), x.sum(),
-                gaussian_weighted_sum([x], [local_variance(x.data, 3)], 1.0), conv2d(x, p),
+                gaussian_weighted_sum([x], [3], 1.0), conv2d(x, p),
                 conv_transpose2d(x, make_params(rng.standard_normal((2, 1, 2, 2)),
                                                 [0.0], stride=2)),
                 concat_channels([x, x]), max_pool2d(x), softmax_channels(x),
@@ -985,14 +986,9 @@ OP_GRAPHS = {
     "softmax_channels": lambda t: softmax_channels(t(2, 3, 4, 4)),
     "windowed_variance": lambda t: windowed_variance(t(2, 2, 6, 6), 3),
     # interior maps, whose rules the walk's worker shares, then a leaf map
-    "gaussian_weighted_sum": lambda t: consistency_fusion(
-        [t(2, 4, 4) * t(2, 4, 4), t(2, 4, 4) + t(2, 4, 4), t(2, 4, 4)], (3, 1, 3)),
+    "gaussian_weighted_sum": lambda t: gaussian_weighted_sum(
+        [t(2, 4, 4) * t(2, 4, 4), t(2, 4, 4) + t(2, 4, 4), t(2, 4, 4)], (3, 1, 3), 2.0),
 }
-
-
-def consistency_fusion(maps, windows):
-    return gaussian_weighted_sum(
-        maps, [local_variance(m.data, l) for m, l in zip(maps, windows)], 2.0)
 
 
 def freeze_gradients(monkeypatch):
@@ -1110,7 +1106,7 @@ class TestBackwardWorker:
             root.sum().backward()
         assert threading.active_count() == before
 
-    def test_fusion_hands_its_second_half_of_map_rules_to_the_worker(self):
+    def test_fusion_hands_its_second_half_of_map_rules_to_the_worker(self, monkeypatch):
         """The caller runs the first half, the worker the second, as one task
         that accumulates nothing; an error there surfaces from gradients()
         as itself, with the worker joined."""
@@ -1128,9 +1124,13 @@ class TestBackwardWorker:
         for fail in (False, True):
             x = Tensor(np.arange(18.0).reshape(2, 3, 3), requires_grad=True)
             maps = [x * float(k + 1) for k in range(4)]
-            variances = [(np.zeros(x.shape), adjoint(k, fail and k == 3))
-                         for k in range(4)]
-            root = gaussian_weighted_sum(maps, variances, 1.0).sum()
+
+            def local_variance(data, window):
+                k = next(k for k, m in enumerate(maps) if m.data is data)
+                return np.zeros(x.shape), adjoint(k, fail and k == 3)
+
+            monkeypatch.setattr(autodiff, "_local_variance", local_variance)
+            root = gaussian_weighted_sum(maps, [3] * 4, 1.0).sum()
             if fail:
                 with pytest.raises(LeafRuleError, match="^map 3$"):
                     gradients(root, {"x": x})
@@ -1372,8 +1372,8 @@ class TestFloat32Bounds:
         lead = (2,) if batched else ()
         (x, g), (wide, g_wide) = narrow_and_wide(rng, (*lead, 2, *hw), (*lead, 2, *hw),
                                                  scale=scale)
-        narrow, narrow_vjp = local_variance(x, window)
-        exact, exact_vjp = local_variance(wide, window)
+        narrow, narrow_vjp = _local_variance(x, window)
+        exact, exact_vjp = _local_variance(wide, window)
         assert narrow.tobytes() == exact.astype(np.float32).tobytes()
         if window > 1:
             assert narrow_vjp(g).tobytes() == exact_vjp(g_wide).astype(np.float32).tobytes()
@@ -1392,10 +1392,8 @@ class TestFloat32Bounds:
         windows = windows[:count]
 
         def fused(maps):
-            return gaussian_weighted_sum(
-                [Tensor(m) for m in maps], [local_variance(m, l) for m, l in zip(maps, windows)],
-                sigma_sq).data
-        variances = [local_variance(m, l)[0] for m, l in zip(wide, windows)]
+            return gaussian_weighted_sum([Tensor(m) for m in maps], windows, sigma_sq).data
+        variances = [_local_variance(m, l)[0] for m, l in zip(wide, windows)]
         magnitude = sum(np.exp(-v / sigma_sq) * np.abs(m) for v, m in zip(variances, wide))
         exponent = max(v.max() for v in variances) / sigma_sq
         floor = np.finfo(np.float32).tiny * sum(np.abs(m) for m in wide)

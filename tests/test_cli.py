@@ -24,6 +24,7 @@ from lesionseg.backbone import (
 from lesionseg.cli import DEFAULTS, config_value, main, parse_config
 from lesionseg.data import (
     load_dataset,
+    read_manifest,
     split_dataset,
     write_image,
     write_manifest,
@@ -593,6 +594,21 @@ class TestWorkflow:
         samples = load_dataset(bare, size=32)
         assert ids == [s.id for s in split_dataset(samples, 0.5, 3)[1]]
 
+    @pytest.mark.parametrize("split", ["train", "all"])
+    def test_eval_split_lists_the_manifests_ids(self, workspace, tmp_path, split):
+        _, data, run = workspace
+        out = tmp_path / "e"
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint.ckpt"),
+                       "--data", str(data), "--out", str(out), "--split", split,
+                       *sets()) == 0
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        manifest = read_manifest(data)
+        train = [name for name, part in manifest.items() if part == "train"]
+        val = [name for name, part in manifest.items() if part == "val"]
+        assert train and val
+        assert [row.split(",")[0] for row in rows] == (train if split == "train"
+                                                       else train + val)
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_unlisted_sample_fails_closed(self, workspace, tmp_path, capsys, command):
         # a smaller gen-data run into the same directory leaves old samples
@@ -822,6 +838,12 @@ def test_gradcheck_subcommand_default_tolerance(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("ok") >= 16
+    assert out.endswith(" (tolerance 1e-04)\n")
+
+
+def test_gradcheck_tolerance_is_fixed(capsys):
+    assert run_cli("gradcheck", "--tol", "1") == 1
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 def test_gradcheck_subcommand_fails_a_case_that_checks_nothing(capsys, monkeypatch):

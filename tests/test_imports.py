@@ -3,18 +3,18 @@ module reads the environment (every setting is a config key or an option),
 every public function of the engine serves the package, not only tests,
 every file the package writes goes through backbone.atomic_write,
 nothing calls np.pad, whose per-call set-up costs more than the fill,
-autodiff.pad2d is the one fill helper, and only model.py and autodiff.py
-start threads. The engine shares arrays between nodes and relies on nothing
-writing into an array a node has read; predict_mask's one worker keeps that
-by sharing only detached parameters and the features this thread hands it;
-the training forward pass's one worker, which runs the first half of an
-MCDF cell's skip heads, by sharing only the parameters and the features,
-which no head task writes: each task writes only the arrays it makes;
-backward's one worker by running only leaf rules, which read the gradient
-they share and write only the leaves, which no other rule reads, and the
-fusion's second half of map rules, which read it and write nothing. mcdf
-is handed the forward worker and imports none; a thread elsewhere would
-need the same proof."""
+autodiff.pad2d is the one fill helper, only model.py and autodiff.py
+start threads, and every task handed to a worker runs in its caller's
+contextvars context, so np.errstate governs it. The engine shares arrays
+between nodes and relies on nothing writing into an array a node has read;
+predict_mask's one worker keeps that by sharing only detached parameters
+and the features this thread hands it; the fusion's forward worker by
+reading only the first half of the score maps, which nothing writes, and
+writing only the arrays it makes, their variances and adjoints; backward's
+one worker by running only leaf rules, which read the gradient they share
+and write only the leaves, which no other rule reads, and the fusion's
+second half of map rules, which read it and write nothing. A thread
+elsewhere would need the same proof."""
 
 import ast
 from pathlib import Path
@@ -225,3 +225,34 @@ def test_detects_a_concurrency_import():
 def test_only_the_model_starts_threads(path):
     threaded = path.name in ("model.py", "autodiff.py")
     assert bool(concurrency_imports(path.read_text())) == threaded
+
+
+def _is_context_run(node: ast.expr) -> bool:
+    """node is copy_context().run."""
+    return (isinstance(node, ast.Attribute) and node.attr == "run"
+            and isinstance(node.value, ast.Call) and _called(node.value) == "copy_context"
+            and not node.value.args)
+
+
+def submits_outside_the_context(source: str) -> list[str]:
+    """.submit calls whose first argument is not copy_context().run."""
+    return [f"line {node.lineno}: .submit" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"
+            and not (node.args and _is_context_run(node.args[0]))]
+
+
+def test_detects_a_submit_outside_the_context():
+    assert submits_outside_the_context("pending = worker.submit(mask, features)\n") == \
+        ["line 1: .submit"]
+    assert submits_outside_the_context("ctx = copy_context()\nw.submit(ctx.run, f)\n") == \
+        ["line 2: .submit"]
+    assert submits_outside_the_context("w.submit(fn=f)\nw.submit(copy_context.run, f)\n") \
+        == ["line 1: .submit", "line 2: .submit"]
+    assert submits_outside_the_context(
+        "w.submit(copy_context().run, f, x)\nsubmit(task)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_worker_tasks_run_in_the_callers_context(path):
+    assert submits_outside_the_context(path.read_text()) == []

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lesionseg import autodiff
 from lesionseg.autodiff import (
     EvenWindowError,
     ShapeMismatchError,
     Tensor,
     gaussian_weighted_sum,
-    local_variance,
     windowed_variance,
 )
 from lesionseg.backbone import (
@@ -353,10 +353,11 @@ class TestFusionBytes:
     @given(**fusion_cases, interior=st.booleans())
     def test_op_matches_reference(self, count, lead, hw, sigma_sq, stop_grad, seed,
                                   interior):
-        """Variances with recording adjoints: adjoint k is handed exactly the
-        reference's variance-k gradient, or nothing under stop_grad, and what
-        it returns is added to map k's gradient. Interior maps take the rules
-        that the walk's worker shares."""
+        """Variances with recording adjoints, standing in for the op's own:
+        adjoint k is handed exactly the reference's variance-k gradient, or
+        nothing under stop_grad, and what it returns is added to map k's
+        gradient. Interior maps take the rules that the walk's worker
+        shares."""
         rng = np.random.default_rng(seed)
         shape = lead + hw
         data = signed_zero_maps(rng, count, shape)
@@ -374,8 +375,14 @@ class TestFusionBytes:
         leaves = [Tensor(m, requires_grad=True) for m in data]
         # times 1.0 is exact both ways, so interior maps keep the bytes
         maps = [leaf * 1.0 for leaf in leaves] if interior else leaves
-        variances = [(v, adjoint(k)) for k, v in enumerate(var_data)]
-        out = gaussian_weighted_sum(maps, variances, sigma_sq, stop_grad)
+
+        def local_variance(x, window):
+            k = next(k for k, m in enumerate(maps) if m.data is x)
+            return var_data[k], adjoint(k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(autodiff, "_local_variance", local_variance)
+            out = gaussian_weighted_sum(maps, (3,) * count, sigma_sq, stop_grad)
         (out * Tensor(g)).sum().backward()
         want, map_grads, var_grads = gaussian_fusion_reference(var_data, data, g, sigma_sq)
         assert out.data.tobytes() == want.tobytes()
@@ -387,10 +394,10 @@ class TestFusionBytes:
             map_grads = [w + r for w, r in zip(map_grads, returned)]
         assert [m.grad.tobytes() for m in leaves] == [w.tobytes() for w in map_grads]
 
-    def test_op_rejects_a_variance_count_that_differs_from_the_map_count(self):
+    def test_op_rejects_a_window_count_that_differs_from_the_map_count(self):
         maps = [Tensor(np.zeros((2, 4, 4))), Tensor(np.ones((2, 4, 4)))]
-        with pytest.raises(ShapeMismatchError, match="2 maps but 1 variances$"):
-            gaussian_weighted_sum(maps, [local_variance(maps[0].data, 3)], 10.0)
+        with pytest.raises(ShapeMismatchError, match="2 maps but 1 windows$"):
+            gaussian_weighted_sum(maps, [3], 10.0)
 
 
 class TestSumFuse:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesionseg import mcdf, model
+from lesionseg import autodiff, mcdf, model
 from lesionseg.autodiff import Tensor, gradients
 from lesionseg.backbone import BackboneConfig, ConfigError
 from lesionseg.bidfl import FUSION_STRATEGIES
 from lesionseg.cli import parse_config, train_config
+from lesionseg.gradcheck import TINY_MODEL
 from lesionseg.model import (
     DESK_RATES,
     PAPER_RATES,
@@ -40,6 +42,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the stage functions as the package defines them, for the wrappers below
 model_encode, model_decide = model.encode, model.decide
 mcdf_classify_upsample = mcdf.classify_upsample
+engine_local_variance = autodiff._local_variance
 
 
 @pytest.fixture(scope="module")
@@ -309,79 +312,125 @@ def test_predict_mask_threads(desk, monkeypatch, batch, started):
     assert threading.active_count() == before
 
 
-def split_heads_step(use_bidfl, use_mcdf, forward):
-    """One TINY training step's loss and gradients, as bytes; forward(image,
-    params) gives (logits, probs, stack)."""
+@pytest.mark.parametrize("batch", [1, 2, 3, 6])
+def test_predict_mask_runs_every_chunk_under_the_callers_errstate(batch):
+    """np.errstate is context-local; the pipeline's worker takes the
+    caller's, so a pipelined batch raises where one chunk raises. At this
+    sigma_sq every consistency weight underflows."""
+    params = build_params(TINY_MODEL, seed=0, use_bidfl=True)
+    images = np.random.default_rng(4).random((batch, 3, 32, 32))
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        predict_mask(Tensor(images), params, TINY_MODEL, True, True, 1e-30)
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor's stand-in: each task runs on the caller as it is
+    submitted, so the engine's worker tasks run on one thread."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as err:
+            future.set_exception(err)
+        return future
+
+
+def tiny_step(use_bidfl, use_mcdf):
+    """One TINY training step's loss and gradients, as bytes."""
     rng = np.random.default_rng(6)
     image = Tensor(rng.random((2, 3, 32, 32)))
     labels = one_hot_masks((rng.random((2, 1, 32, 32)) > 0.6).astype(float))
     params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
-    _, probs, _ = forward(image, params)
+    _, probs, _ = model_forward(image, params, TINY, use_bidfl, use_mcdf, 10.0)
     loss = weighted_ce_loss(probs, labels, (0.8, 0.2))
     grads = gradients(loss, params)
     return loss.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
 
 
-@CELLS
-def test_split_heads_give_the_one_thread_bytes(use_bidfl, use_mcdf):
-    def one_thread(image, params):
-        return model_decide(model_encode(image, params, TINY, use_bidfl), params, TINY,
-                            use_bidfl, use_mcdf, 10.0)
-
-    def split(image, params):
-        return model_forward(image, params, TINY, use_bidfl, use_mcdf, 10.0)
-
-    assert split_heads_step(use_bidfl, use_mcdf, split) == \
-        split_heads_step(use_bidfl, use_mcdf, one_thread)
-
-
-@CELLS
-def test_mcdf_forward_runs_the_first_half_of_the_heads_on_one_worker(
-        use_bidfl, use_mcdf, monkeypatch):
-    """An MCDF cell's forward pass starts one thread, which runs the first
-    half of the heads while the caller runs the second; a sum-fused cell
-    starts none."""
-    params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
-    heads = len(TINY.head_windows(use_bidfl))
-    kernels = [params[f"head.{k}.cls.kernel"] for k in range(heads)]
-    ran, starts = {}, []
+def recorded_starts(monkeypatch):
+    """The threads started from now on, in order."""
+    starts = []
     start = threading.Thread.start
-
-    def classify_upsample(feature, head):
-        ran[next(k for k, kernel in enumerate(kernels)
-                 if kernel is head.classifier.kernel)] = threading.current_thread()
-        return mcdf_classify_upsample(feature, head)
 
     def recorded(thread):
         starts.append(thread)
         start(thread)
-
-    monkeypatch.setattr(mcdf, "classify_upsample", classify_upsample)
     monkeypatch.setattr(threading.Thread, "start", recorded)
+    return starts
+
+
+@CELLS
+def test_two_thread_step_gives_the_one_thread_bytes(use_bidfl, use_mcdf, monkeypatch):
+    two_threads = tiny_step(use_bidfl, use_mcdf)
+    monkeypatch.setattr(autodiff, "ThreadPoolExecutor", InlineExecutor)
+    starts = recorded_starts(monkeypatch)
+    assert tiny_step(use_bidfl, use_mcdf) == two_threads
+    assert starts == []
+
+
+@CELLS
+def test_training_forward_takes_the_variances_on_one_fusion_worker(
+        use_bidfl, use_mcdf, monkeypatch):
+    """An MCDF cell's training forward starts one thread, in the fusion,
+    which takes the variances of the first half of the maps while the
+    caller takes the second half; a sum-fused cell starts none and takes no
+    variance. (test_predict_mask_threads: a one-chunk predict_mask starts
+    none either.)"""
+    params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
+    taken = []
+
+    def local_variance(x, window):
+        taken.append((x, threading.current_thread()))
+        return engine_local_variance(x, window)
+
+    monkeypatch.setattr(autodiff, "_local_variance", local_variance)
+    starts = recorded_starts(monkeypatch)
     before = threading.active_count()
-    model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY, use_bidfl, use_mcdf, 10.0)
+    _, _, stack = model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY,
+                                use_bidfl, use_mcdf, 10.0)
     assert threading.active_count() == before
-    half = heads // 2 if use_mcdf else 0
-    assert len(starts) == (1 if use_mcdf else 0)
-    assert [ran[k] for k in range(heads)] == \
-        starts * half + [threading.main_thread()] * (heads - half)
+    if not use_mcdf:
+        assert starts == [] and taken == []
+        return
+    assert len(starts) == 1 and starts[0] is not threading.main_thread()
+    heads = len(stack.maps)
+    assert len(taken) == heads
+    by_map = [next(thread for x, thread in taken if x is m.data) for m in stack.maps]
+    assert by_map == starts * (heads // 2) + [threading.main_thread()] * (heads - heads // 2)
 
 
 @pytest.mark.parametrize("failing", [0, 6], ids=["worker_half", "caller_half"])
-def test_a_head_error_surfaces_as_itself_with_the_worker_joined(failing, monkeypatch):
+def test_a_variance_error_surfaces_as_itself_with_no_thread_left(failing, monkeypatch):
     params = build_params(TINY, seed=2, use_bidfl=True)
-    bad = params[f"head.{failing}.cls.kernel"]
+    scores, ran = [], []
 
     def classify_upsample(feature, head):
-        if head.classifier.kernel is bad:
-            raise Boom(f"head {failing}")
-        return mcdf_classify_upsample(feature, head)
+        scores.append(mcdf_classify_upsample(feature, head))
+        return scores[-1]
+
+    def local_variance(x, window):
+        if x is scores[failing].data:
+            ran.append(threading.current_thread())
+            raise Boom(f"variance {failing}")
+        return engine_local_variance(x, window)
 
     monkeypatch.setattr(mcdf, "classify_upsample", classify_upsample)
+    monkeypatch.setattr(autodiff, "_local_variance", local_variance)
     before = threading.active_count()
-    with pytest.raises(Boom, match=f"^head {failing}$"):
+    with pytest.raises(Boom, match=f"^variance {failing}$"):
         model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY, True, True, 10.0)
     assert threading.active_count() == before
+    assert (ran[0] is threading.main_thread()) == (failing == 6)
 
 
 def test_predict_mask_memory_does_not_grow_with_batch(desk):
