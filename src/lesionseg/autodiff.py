@@ -39,10 +39,16 @@ as one task that returns their gradients and accumulates nothing: the
 caller runs the first half, waits for the task, then accumulates every
 map's gradient in order, so no leaf is summed out of walk order.
 
-The fusion's forward pass also uses a second thread when it records a node:
-a worker takes the windowed variances of the first half of the maps while
-the caller takes the second half. The worker reads those maps and writes
-only the arrays it makes, and it is joined before the weights are formed.
+A forward pass may publish a worker thread too (``published``);
+model_forward publishes one around the encoder's blocks and the fusion
+when it records a graph. With one published, conv2d's windowed path and
+max_pool2d take their value in two batch halves, the worker images
+[0, n//2) and the caller the rest, and the fusion takes the windowed
+variances of its first half of maps on the worker. A half reads only its
+own images or maps, which nothing writes, and writes only the arrays it
+makes, which the caller joins once both halves are done. The op still
+records one node over the whole batch, so backward is as it is without the
+worker.
 
 A tensor holds float32 data as float32 and anything else as float64, and
 every op computes in its inputs' dtype: the model runs in float32, the
@@ -60,10 +66,11 @@ rebuilt from scratch on every forward pass.
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,12 +97,48 @@ class SpentGraphError(ValueError):
 
 
 Vjp = Callable[[np.ndarray], np.ndarray]
+T = TypeVar("T")
+Tasks = Callable[[Callable[[], object]], Future]
 
-# The running walk's hand-off to its worker: it runs a task there and returns
-# the task's future. Rules stay one-argument callables, so a node's _backward
-# reaches the worker through this variable.
-_worker_tasks: ContextVar[Callable[[Callable[[], object]], Future]] = \
-    ContextVar("_worker_tasks")
+# The published hand-off to a worker thread: it runs a task there and returns
+# the task's future. Backward's walk publishes its worker, so that a node's
+# _backward, whose rules stay one-argument callables, reaches it; a forward
+# pass may publish one for the ops that take their value in two halves.
+_worker_tasks: ContextVar[Tasks] = ContextVar("_worker_tasks")
+
+
+@contextmanager
+def published(tasks: Tasks | None) -> Iterator[None]:
+    """Publish tasks as the worker's hand-off inside the block; None
+    publishes nothing."""
+    if tasks is None:
+        yield
+        return
+    token = _worker_tasks.set(tasks)
+    try:
+        yield
+    finally:
+        _worker_tasks.reset(token)
+
+
+def _in_halves(part: Callable[[int, int, T | None], T], n: int,
+               empty: Callable[[], T]) -> T:
+    """part(0, n, None), the result for items [0, n). With a worker
+    published and n >= 2, the result is empty() instead, whose items
+    [0, n // 2) the worker fills by part(0, n // 2, result) while this
+    thread fills the rest. The worker's half is done before this returns or
+    raises, and an error of the first half surfaces in place of one of the
+    second."""
+    tasks = _worker_tasks.get(None)
+    if tasks is None or n < 2:
+        return part(0, n, None)
+    out = empty()
+    first = tasks(lambda: part(0, n // 2, out))
+    try:
+        part(n // 2, n, out)
+    finally:
+        first.result()
+    return out
 
 
 class Tensor:
@@ -187,8 +230,7 @@ class Tensor:
                 pending.append(worker.submit(copy_context().run, task))
                 return pending[-1]
 
-            token = _worker_tasks.set(submit)
-            try:
+            with published(submit):
                 # pop rather than iterate, so a released node is not kept alive
                 while topo:
                     node = topo.pop()
@@ -199,8 +241,6 @@ class Tensor:
                         rules(node._take_grad())
                 if pending:
                     pending.pop().result()
-            finally:
-                _worker_tasks.reset(token)
 
     # -- elementwise arithmetic (numpy broadcasting, gradients summed back) --
 
@@ -427,6 +467,19 @@ def _convt_tap_ranges(tap: int, in_n: int, out_n: int, stride: int, pad: int,
     return i0, i1, r0 + stride * i0
 
 
+def _convt_taps(y4: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Every tap's product of an (N,A,inH,inW) map with an (A,B,kh,kw) kernel,
+    as an (N,B,kh,kw,inH,inW) view: the GEMM, operands in the same order,
+    that np.einsum("naij,abkl->nbklij", optimize=True) runs, without its
+    path search on every call. With the operands swapped, the bytes differ
+    at some shapes."""
+    n, a, ih, iw = y4.shape
+    _, b, kh, kw = kernel.shape
+    rows = kernel.transpose(1, 2, 3, 0).reshape(b * kh * kw, a)
+    taps = rows @ y4.transpose(1, 0, 2, 3).reshape(a, n * ih * iw)
+    return taps.reshape(b, kh, kw, n, ih, iw).transpose(3, 0, 1, 2, 4, 5)
+
+
 def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
                    dil: int, out_hw: tuple[int, int]) -> np.ndarray:
     """Adjoint of the windowed correlation: one contraction, then per-phase adds.
@@ -439,12 +492,7 @@ def _convt_scatter(y4: np.ndarray, kernel: np.ndarray, stride: int, pad: int,
     n, _, ih, iw = y4.shape
     _, b, kh, kw = kernel.shape
     oh, ow = out_hw
-    if n == 1:
-        # the same products without the batch axis, which spares einsum a
-        # transposed copy of y4
-        taps = np.einsum("aij,abkl->bklij", y4[0], kernel, optimize=True)[None]
-    else:
-        taps = np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
+    taps = _convt_taps(y4, kernel)
     if stride > 1 and dil == 1:
         s = stride
         qh, qw = -(-kh // s), -(-kw // s)
@@ -482,15 +530,36 @@ def _check_channels(x: Tensor, bias: Tensor, in_c: int, out_c: int,
         raise ShapeMismatchError(f"bias length {bias.shape[0]} != out channels {out_c}")
 
 
-def _conv_node(op: str, x: Tensor, params: ConvParams, out4: np.ndarray,
-               vjp_x4: Vjp, vjp_kernel: Vjp, relu: bool = False) -> Tensor:
+def _conv_node(op: str, x: Tensor, params: ConvParams,
+               product: Callable[[np.ndarray], np.ndarray], vjp_x4: Vjp,
+               vjp_kernel: Vjp, relu: bool = False,
+               out_shape: tuple[int, int, int] | None = None) -> Tensor:
     """Bias add, optional in-place ReLU, 3-d round trip and node of conv2d and
-    its adjoint; the two rules take the 4-d output gradient."""
+    its adjoint. product maps images of the 4-d input to their output before
+    the bias; given an image's output shape, the op takes its value in batch
+    halves (_in_halves). The two rules take the 4-d output gradient."""
     squeezed = x.ndim == 3
-    out4 = np.ascontiguousarray(out4, dtype=np.result_type(out4, params.bias.data))
-    out4 += params.bias.data[None, :, None, None]
-    if relu:
-        np.maximum(out4, 0.0, out=out4)
+    x4 = _as_4d(x.data)
+    bias = params.bias.data
+
+    def value(lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
+        out4 = product(x4[lo:hi])
+        if out is None:
+            # in place in the product where that is already contiguous
+            out4 = np.ascontiguousarray(out4, dtype=np.result_type(out4, bias))
+            out4 += bias[None, :, None, None]
+        else:
+            # a half: the bias add copies it into its images of the output
+            out4 = np.add(out4, bias[:, None, None], out=out[lo:hi])
+        if relu:
+            np.maximum(out4, 0.0, out=out4)
+        return out4
+
+    if out_shape:
+        out4 = _in_halves(value, len(x4), lambda: np.empty(
+            (len(x4), *out_shape), np.result_type(x4, params.kernel.data, bias)))
+    else:
+        out4 = value(0, len(x4), None)
 
     def vjp_x(g):
         gx = vjp_x4(_as_4d(g))
@@ -534,17 +603,20 @@ def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
         # contraction, 4x faster than windows
         k2 = kernel[:, :, 0, 0]
         return _conv_node(
-            "conv2d", x, params, (k2 @ x4.reshape(n, ic, h * w)).reshape(n, oc, h, w),
+            "conv2d", x, params,
+            lambda part: (k2 @ part.reshape(len(part), ic, h * w)).reshape(-1, oc, h, w),
             lambda g4: np.moveaxis(np.tensordot(g4, k2, axes=([1], [0])), 3, 1),
             lambda g4: np.tensordot(g4, x4, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None],
             relu)
     # channel-major columns: the product comes out (O,N,outH,outW), already in
     # output order at N = 1; the kernel rule rebuilds them from x4 rather
     # than keep a kh*kw-fold copy of the input alive until backward
-    def cols():
-        return _im2col_channel_major(_conv_windows(x4, kh, kw, s, p, d, (oh, ow)))
+    def cols(part):
+        return _im2col_channel_major(_conv_windows(part, kh, kw, s, p, d, (oh, ow)))
 
-    out4 = np.moveaxis((kernel.reshape(oc, -1) @ cols()).reshape(oc, n, oh, ow), 0, 1)
+    def product(part):
+        return np.moveaxis(
+            (kernel.reshape(oc, -1) @ cols(part)).reshape(oc, len(part), oh, ow), 0, 1)
 
     # one image at a time, so the scatter's kh*kw-fold taps of a single image
     # are alive beside the kernel rule's columns, not the whole batch's
@@ -554,8 +626,9 @@ def conv2d(x: Tensor, params: ConvParams, relu: bool = False) -> Tensor:
             gx[i] = _convt_scatter(g4[i:i + 1], kernel, s, p, d, (h, w))[0]
         return gx
 
-    return _conv_node("conv2d", x, params, out4, vjp_x4,
-                      lambda g4: _kernel_grad(g4, cols().T, kernel.shape), relu)
+    return _conv_node("conv2d", x, params, product, vjp_x4,
+                      lambda g4: _kernel_grad(g4, cols(x4).T, kernel.shape), relu,
+                      out_shape=(oc, oh, ow))
 
 
 def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
@@ -585,7 +658,7 @@ def conv_transpose2d(x: Tensor, params: ConvParams) -> Tensor:
         return _im2col(_conv_windows(g4, kh, kw, s, p, d, (ih, iw)))
 
     return _conv_node("conv_transpose2d", x, params,
-                      _convt_scatter(x4, kernel, s, p, d, (oh, ow)),
+                      lambda part: _convt_scatter(part, kernel, s, p, d, (oh, ow)),
                       lambda g4: _correlate(gcols(g4), kernel, g4.shape[0], (ih, iw)),
                       lambda g4: _kernel_grad(x4, gcols(g4), kernel.shape))
 
@@ -619,17 +692,28 @@ def max_pool2d(x: Tensor) -> Tensor:
             f"max_pool output {oh}x{ow} from input {h}x{w}")
     x4 = _as_4d(x.data)
     n, c = x4.shape[:2]
-    # the four corners of every patch, as strided views of the input
-    quads = x4[:, :, :2 * oh, :2 * ow].reshape(n, c, oh, 2, ow, 2)
-    a, b, cc, d = (quads[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1))
-    # np.maximum returns its second operand on a tie (+0.0 against -0.0), so
-    # the corners go in last to first and the value is the first maximum's
-    out_data = np.maximum(np.maximum(d, cc), np.maximum(b, a))
+
+    def corners(lo: int, hi: int) -> list[np.ndarray]:
+        """The four corners of every patch of images [lo, hi), as strided
+        views of the input."""
+        quads = x4[lo:hi, :, :2 * oh, :2 * ow].reshape(hi - lo, c, oh, 2, ow, 2)
+        return [quads[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1)]
+
+    def maxima(lo: int, hi: int, out: np.ndarray | None) -> np.ndarray:
+        # np.maximum returns its second operand on a tie (+0.0 against -0.0),
+        # so the corners go in last to first and the value is the first
+        # maximum's
+        a, b, cc, d = corners(lo, hi)
+        return np.maximum(np.maximum(d, cc), np.maximum(b, a),
+                          out=None if out is None else out[lo:hi])
+
+    out_data = _in_halves(maxima, n, lambda: np.empty((n, c, oh, ow), x4.dtype))
 
     def vjp(g):
         # flat index of each patch's first maximal corner in row order: its
         # offset from the patch's top-left cell (0, 1, w or w + 1) plus that
         # cell's own index
+        a, b, cc, _ = corners(0, n)
         at = (a != out_data) * (1 + (b != out_data) * (w - 1 + (cc != out_data)))
         at += (np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
                + np.arange(0, 2 * oh * w, 2 * w)[:, None] + np.arange(0, 2 * ow, 2))
@@ -753,34 +837,24 @@ def gaussian_weighted_sum(maps: Sequence[Tensor], windows: Sequence[int],
     that separate variance, neg, div, exp, mul and add nodes give; stop_grad,
     or window 1, leaves the second term out, and stop_grad keeps no adjoint.
 
-    A node that records takes its variances on two threads: one worker takes
-    the first half of them while this thread takes the second, and the
-    worker is joined before the weights are formed, and before this raises.
-    One that records nothing takes them all here. The walk's worker runs the
-    second half of the maps' rules.
+    With a worker published, it takes the variances of the first half of
+    the maps while this thread takes the second (_in_halves); otherwise
+    this thread takes them all. The walk's worker runs the second half of
+    the maps' rules.
     """
     if len(windows) != len(maps):
         raise ShapeMismatchError(
             f"gaussian_weighted_sum: {len(maps)} maps but {len(windows)} windows")
 
-    def take(part):
-        taken = []
-        for score, window in part:
-            value, adjoint = _local_variance(score.data, window)
+    def take(lo: int, hi: int, taken: list | None) -> list[tuple[np.ndarray, Vjp | None]]:
+        taken = taken or [None] * len(maps)
+        for k in range(lo, hi):
+            value, adjoint = _local_variance(maps[k].data, windows[k])
             # an adjoint no rule runs is freed at once, with its means and gate
-            taken.append((value, adjoint if score.requires_grad and not stop_grad else None))
+            taken[k] = value, adjoint if maps[k].requires_grad and not stop_grad else None
         return taken
 
-    pairs = list(zip(maps, windows))
-    half = len(pairs) // 2 if any(m.requires_grad for m in maps) else 0
-    if half:
-        with ThreadPoolExecutor(1) as worker:
-            # the task runs in this thread's context, so np.errstate reaches it
-            first = worker.submit(copy_context().run, take, pairs[:half])
-            second = take(pairs[half:])
-        taken = first.result() + second
-    else:
-        taken = take(pairs)
+    taken = _in_halves(take, len(maps), lambda: [None] * len(maps))
     alphas = [np.exp(-v / sigma_sq) for v, _ in taken]
     fused = alphas[0] * maps[0].data
     for alpha, score in zip(alphas[1:], maps[1:]):

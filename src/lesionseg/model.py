@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_channels
+from .autodiff import Tasks, Tensor, published, softmax_channels
 from .backbone import (
     BackboneConfig,
     BlockFeatures,
@@ -140,9 +140,11 @@ Features = tuple[BlockFeatures, Tensor | None, list[Tensor]]
 
 
 def encode(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
-           use_bidfl: bool) -> Features:
-    """Feature learning: the encoder, then the bidirectional refinement."""
-    blocks = backbone_forward(image, config.backbone, params)
+           use_bidfl: bool, tasks: Tasks | None = None) -> Features:
+    """Feature learning: the encoder, then the bidirectional refinement.
+    The encoder's blocks run with tasks published, if given."""
+    with published(tasks):
+        blocks = backbone_forward(image, config.backbone, params)
     fused = None
     levels: list[Tensor] = []
     if use_bidfl:
@@ -158,23 +160,41 @@ def encode(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
 
 def decide(features: Features, params: dict[str, Tensor], config: ModelConfig,
            use_bidfl: bool, use_mcdf: bool, sigma_sq: float,
-           stop_grad_alpha: bool = False) -> tuple[Tensor, Tensor, ScoreStack]:
+           stop_grad_alpha: bool = False,
+           tasks: Tasks | None = None) -> tuple[Tensor, Tensor, ScoreStack]:
     """Decision fusion: the skip heads' score maps, fused and normalised;
-    returns (fused logits, class probabilities, stack)."""
+    returns (fused logits, class probabilities, stack). The fusion runs with
+    tasks published, if given."""
     blocks, fused, levels = features
     heads = head_params_from(params, _head_factors(config, use_bidfl))
     stack = score_heads(blocks, fused, levels, heads,
                         config.head_windows(use_bidfl), sigma_sq)
-    logits = fuse_scores(stack, stop_grad_alpha) if use_mcdf else sum_fuse(stack)
+    with published(tasks):
+        logits = fuse_scores(stack, stop_grad_alpha) if use_mcdf else sum_fuse(stack)
     return logits, softmax_channels(logits), stack
 
 
 def model_forward(image: Tensor, params: dict[str, Tensor], config: ModelConfig,
                   use_bidfl: bool, use_mcdf: bool, sigma_sq: float,
                   stop_grad_alpha: bool = False) -> tuple[Tensor, Tensor, ScoreStack]:
-    """Run the pipeline; returns (fused logits, class probabilities, stack)."""
-    return decide(encode(image, params, config, use_bidfl), params, config,
-                  use_bidfl, use_mcdf, sigma_sq, stop_grad_alpha)
+    """Run the pipeline; returns (fused logits, class probabilities, stack).
+
+    A pass that records a graph (some parameter needs a gradient) opens one
+    worker thread, joined before this returns or raises, and publishes it
+    for the encoder's blocks and the fusion: each windowed convolution and
+    pool there hands the worker the first half of the batch, and the fusion
+    hands it the first half of its variances. The pointwise convolutions,
+    the bank and the heads gained nothing from a split and run here.
+    """
+    if not any(p.requires_grad for p in params.values()):
+        return decide(encode(image, params, config, use_bidfl), params, config,
+                      use_bidfl, use_mcdf, sigma_sq, stop_grad_alpha)
+    with ThreadPoolExecutor(1) as worker:
+        def tasks(task):
+            # the task runs in this thread's context, so np.errstate reaches it
+            return worker.submit(copy_context().run, task)
+        return decide(encode(image, params, config, use_bidfl, tasks), params, config,
+                      use_bidfl, use_mcdf, sigma_sq, stop_grad_alpha, tasks)
 
 
 def predict_mask(image: Tensor, params: dict[str, Tensor], config: ModelConfig,

@@ -9,9 +9,9 @@ from lesionseg.autodiff import Tensor
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a thread alive: predict_mask's pipeline, the
-    fusion's forward worker and backward's worker are joined before their
-    calls return or raise."""
+    """Fail a test that leaves a thread alive: predict_mask's pipeline, a
+    recording model_forward's worker and backward's worker are joined
+    before their calls return or raise."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

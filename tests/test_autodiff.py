@@ -1,6 +1,10 @@
 import threading
+import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import copy_context
 
 import numpy as np
 import pytest
@@ -464,7 +468,7 @@ def stored_columns_conv2d(x, params, relu=False):
             gx[i] = _convt_scatter(g4[i:i + 1], kernel, s, p, d, (h, w))[0]
         return gx
 
-    return _conv_node("conv2d", x, params, out4, vjp_x4,
+    return _conv_node("conv2d", x, params, lambda part: out4, vjp_x4,
                       lambda g4: _kernel_grad(g4, cols.T, kernel.shape), relu)
 
 
@@ -516,6 +520,102 @@ class TestConv2dColumns:
             grads.append([out.data.tobytes(), x.grad.tobytes(), p.kernel.grad.tobytes(),
                           p.bias.grad.tobytes()])
         assert grads[0] == grads[1]
+
+
+@contextmanager
+def forward_worker():
+    """One worker published for the forward ops, as a recording
+    model_forward publishes it."""
+    with ThreadPoolExecutor(1) as worker, autodiff.published(
+            lambda task: worker.submit(copy_context().run, task)):
+        yield
+
+
+def whole_and_halves(op):
+    """op's value with no worker published, then with one."""
+    whole = op().data
+    with forward_worker():
+        return whole, op().data
+
+
+class HalfError(RuntimeError):
+    pass
+
+
+class TestBatchHalves:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
+           st.tuples(st.integers(1, 4), st.integers(1, 4)), st.integers(1, 3),
+           st.integers(0, 3), st.integers(1, 3),
+           st.tuples(st.integers(1, 24), st.integers(1, 24)), st.booleans(),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @example(3, 12, 24, (3, 3), 1, 1, 1, (64, 64), True, np.float32, 0)   # desk block 2
+    def test_conv2d_halves_match_the_whole_batch(self, n, c, oc, k, s, pad, d, in_hw,
+                                                 relu, dtype, seed):
+        """Each half is a GEMM of its own width, and OpenBLAS computes the
+        columns of a product's last partial tile with another kernel. So a
+        half that ends off a tile boundary changes some values within the
+        rounding of their c*kh*kw-term sum and the bias; at the model's
+        geometries no bit moves (test_desk_encoder_keeps_its_bytes)."""
+        kh, kw = k
+        out_hw = tuple(_conv_out_dim(i, kk, s, pad, d) for i, kk in zip(in_hw, k))
+        assume(min(out_hw) >= 1)
+        rng = np.random.default_rng(seed)
+        x0, k0, b0 = (signed_zeros(rng, shape).astype(dtype)
+                      for shape in ((n, c, *in_hw), (oc, c, kh, kw), (oc,)))
+        geometry = {"stride": s, "padding": pad, "dilation": d}
+        params = ConvParams(Tensor(k0, requires_grad=True), Tensor(b0), **geometry)
+        whole, halves = whole_and_halves(lambda: conv2d(Tensor(x0), params, relu))
+        assert halves.dtype == whole.dtype and halves.shape == whole.shape
+        magnitude = conv2d(Tensor(np.abs(x0.astype(np.float64))),
+                           ConvParams(Tensor(np.abs(k0.astype(np.float64))),
+                                      Tensor(np.abs(b0.astype(np.float64))), **geometry)).data
+        error = np.abs(halves.astype(np.float64) - whole)
+        assert np.all(error <= (c * kh * kw + 2) * np.finfo(dtype).eps * magnitude)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6),
+           st.tuples(st.integers(2, 24), st.integers(2, 24)),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_max_pool2d_halves_keep_the_bytes(self, n, c, hw, dtype, seed):
+        """Ties between equal values and between -0.0 and 0.0, odd extents."""
+        levels = np.array([-1.0, -0.0, 0.0, 1.0], dtype)
+        x = Tensor(levels[np.random.default_rng(seed).integers(0, 4, (n, c, *hw))])
+        whole, halves = whole_and_halves(lambda: max_pool2d(x))
+        assert halves.dtype == whole.dtype
+        assert halves.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("c, size, oc, k, pad, with_relu", DESK_CONVS[:5],
+                             ids=[f"block{b}" for b in range(1, 6)])
+    def test_desk_encoder_keeps_its_bytes(self, c, size, oc, k, pad, with_relu, n):
+        rng = np.random.default_rng(size * c + n)
+        x = Tensor(rng.standard_normal((n, c, size, size)).astype(np.float32))
+        params = ConvParams(
+            Tensor((rng.standard_normal((oc, c, k, k)) * 0.2).astype(np.float32),
+                   requires_grad=True),
+            Tensor((rng.standard_normal(oc) * 0.1).astype(np.float32)),
+            padding=pad, dilation=pad)
+        for op in (lambda: conv2d(x, params, with_relu), lambda: max_pool2d(x)):
+            whole, halves = whole_and_halves(op)
+            assert halves.tobytes() == whole.tobytes()
+
+    def test_the_first_halfs_error_surfaces(self, monkeypatch):
+        """Both halves raise, the caller's first; the first half's error
+        surfaces once the worker is done."""
+        def windows(x4, *geometry):
+            first = int(x4[0, 0, 0, 0])
+            if first == 0:
+                time.sleep(0.05)
+            raise HalfError(f"images from {first}")
+
+        monkeypatch.setattr(autodiff, "_conv_windows", windows)
+        x = Tensor(np.arange(4.0)[:, None, None, None] * np.ones((4, 1, 5, 5)))
+        params = ConvParams(Tensor(np.ones((1, 1, 3, 3)), requires_grad=True),
+                            Tensor(np.zeros(1)))
+        with forward_worker(), pytest.raises(HalfError, match="^images from 0$") as err:
+            conv2d(x, params)
+        assert str(err.value.__context__) == "images from 2"
 
 
 class TestConvTranspose2d:
@@ -620,6 +720,13 @@ def signed_zeros(rng, shape):
     return x
 
 
+def einsum_taps(y4, kernel):
+    """The taps as np.einsum formed them, without the batch axis at batch 1."""
+    if len(y4) == 1:
+        return np.einsum("aij,abkl->bklij", y4[0], kernel, optimize=True)[None]
+    return np.einsum("naij,abkl->nbklij", y4, kernel, optimize=True)
+
+
 class TestConvtScatter:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 8),
@@ -645,6 +752,35 @@ class TestConvtScatter:
         want = per_tap_scatter(y4, kernel, s, pad, d, out_hw)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 40),
+           st.tuples(st.integers(1, 8), st.integers(1, 8)), st.integers(1, 4),
+           st.integers(0, 7), st.integers(1, 3),
+           st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @example(1, 2, 2, (4, 4), 2, 1, 1, (32, 32), (0, 0), np.float32, 0)   # desk heads
+    @example(4, 2, 2, (8, 8), 4, 2, 1, (16, 16), (0, 0), np.float32, 1)
+    @example(1, 24, 12, (3, 3), 1, 1, 1, (64, 64), (0, 0), np.float32, 2)  # block 2's rule
+    @example(1, 48, 48, (3, 3), 1, 4, 4, (16, 16), (0, 0), np.float32, 3)  # block 5's
+    def test_matches_the_einsum_scatter(self, n, a, b, k, s, pad, d, in_hw, extra,
+                                        dtype, seed):
+        """The taps' GEMM gives np.einsum's bytes, at batch 1 and above."""
+        kh, kw = k
+        pad = min(pad, max(kh, kw) - 1)
+        out_hw = tuple((i - 1) * s + d * (kk - 1) + 1 - 2 * pad + e % s
+                       for i, kk, e in zip(in_hw, k, extra))
+        assume(min(out_hw) >= 1)
+        rng = np.random.default_rng(seed)
+        y4 = signed_zeros(rng, (n, a, *in_hw)).astype(dtype)
+        kernel = signed_zeros(rng, (a, b, kh, kw)).astype(dtype)
+        got = _convt_scatter(y4, kernel, s, pad, d, out_hw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(autodiff, "_convt_taps", einsum_taps)
+            want = _convt_scatter(y4, kernel, s, pad, d, out_hw)
+        assert got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def row_major_conv_transpose2d(x, kernel, bias, factor, g):

@@ -4,17 +4,19 @@ every public function of the engine serves the package, not only tests,
 every file the package writes goes through backbone.atomic_write,
 nothing calls np.pad, whose per-call set-up costs more than the fill,
 autodiff.pad2d is the one fill helper, only model.py and autodiff.py
-start threads, and every task handed to a worker runs in its caller's
+start threads, every thread pool is opened by a with statement, which
+joins its worker, and every task handed to a worker runs in its caller's
 contextvars context, so np.errstate governs it. The engine shares arrays
 between nodes and relies on nothing writing into an array a node has read;
 predict_mask's one worker keeps that by sharing only detached parameters
-and the features this thread hands it; the fusion's forward worker by
-reading only the first half of the score maps, which nothing writes, and
-writing only the arrays it makes, their variances and adjoints; backward's
-one worker by running only leaf rules, which read the gradient they share
-and write only the leaves, which no other rule reads, and the fusion's
-second half of map rules, which read it and write nothing. A thread
-elsewhere would need the same proof."""
+and the features this thread hands it; a recording model_forward's worker
+by reading only the first half of a batch's images, or of the fusion's
+score maps, which nothing writes, and writing only the arrays it makes,
+their values, variances and adjoints; backward's one worker by running
+only leaf rules, which read the gradient they share and write only the
+leaves, which no other rule reads, and the fusion's second half of map
+rules, which read it and write nothing. A thread elsewhere would need the
+same proof."""
 
 import ast
 from pathlib import Path
@@ -256,3 +258,31 @@ def test_detects_a_submit_outside_the_context():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_worker_tasks_run_in_the_callers_context(path):
     assert submits_outside_the_context(path.read_text()) == []
+
+
+def executors_outside_a_with(source: str) -> list[str]:
+    """ThreadPoolExecutor calls that are not themselves a with item, whose
+    exit would join the worker."""
+    tree = ast.parse(source)
+    items = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+             for item in node.items}
+    return [f"line {node.lineno}: ThreadPoolExecutor" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called(node) == "ThreadPoolExecutor"
+            and id(node) not in items]
+
+
+def test_detects_an_executor_outside_a_with():
+    assert executors_outside_a_with("worker = ThreadPoolExecutor(1)\n") == \
+        ["line 1: ThreadPoolExecutor"]
+    assert executors_outside_a_with(
+        "with ThreadPoolExecutor(1) as w:\n    extra = futures.ThreadPoolExecutor(2)\n") \
+        == ["line 2: ThreadPoolExecutor"]
+    assert executors_outside_a_with("with closing(ThreadPoolExecutor(1)):\n    pass\n") == \
+        ["line 1: ThreadPoolExecutor"]
+    assert executors_outside_a_with(
+        "with open(f) as a, futures.ThreadPoolExecutor(1) as w:\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_worker_is_joined(path):
+    assert executors_outside_a_with(path.read_text()) == []

@@ -43,6 +43,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 model_encode, model_decide = model.encode, model.decide
 mcdf_classify_upsample = mcdf.classify_upsample
 engine_local_variance = autodiff._local_variance
+engine_conv_windows = autodiff._conv_windows
 
 
 @pytest.fixture(scope="module")
@@ -373,44 +374,68 @@ def recorded_starts(monkeypatch):
 def test_two_thread_step_gives_the_one_thread_bytes(use_bidfl, use_mcdf, monkeypatch):
     two_threads = tiny_step(use_bidfl, use_mcdf)
     monkeypatch.setattr(autodiff, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", InlineExecutor)
     starts = recorded_starts(monkeypatch)
     assert tiny_step(use_bidfl, use_mcdf) == two_threads
     assert starts == []
 
 
 @CELLS
-def test_training_forward_takes_the_variances_on_one_fusion_worker(
-        use_bidfl, use_mcdf, monkeypatch):
-    """An MCDF cell's training forward starts one thread, in the fusion,
-    which takes the variances of the first half of the maps while the
-    caller takes the second half; a sum-fused cell starts none and takes no
-    variance. (test_predict_mask_threads: a one-chunk predict_mask starts
-    none either.)"""
-    params = build_params(TINY, seed=2, use_bidfl=use_bidfl)
-    taken = []
+def test_recorded_forward_starts_one_worker_per_pass(use_bidfl, use_mcdf, desk,
+                                                     monkeypatch):
+    """Each recorded desk forward starts one thread. The five encoder blocks
+    hand it the first half of their batch, and an MCDF fusion the
+    variances of the first half of its maps while the caller takes the
+    second; a sum-fused cell takes no variance. A one-chunk predict_mask,
+    and an encode that records nothing, start no thread."""
+    tc = train_config(parse_config(str(DESK_CFG)))
+    params = build_params(tc.model, seed=3, use_bidfl=use_bidfl)
+    images = desk[1][:2]
+    windows, taken = [], []
+
+    def conv_windows(x4, *geometry):
+        windows.append((len(x4), threading.current_thread()))
+        return engine_conv_windows(x4, *geometry)
 
     def local_variance(x, window):
         taken.append((x, threading.current_thread()))
         return engine_local_variance(x, window)
 
+    monkeypatch.setattr(autodiff, "_conv_windows", conv_windows)
     monkeypatch.setattr(autodiff, "_local_variance", local_variance)
     starts = recorded_starts(monkeypatch)
     before = threading.active_count()
-    _, _, stack = model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY,
-                                use_bidfl, use_mcdf, 10.0)
-    assert threading.active_count() == before
-    if not use_mcdf:
-        assert starts == [] and taken == []
-        return
-    assert len(starts) == 1 and starts[0] is not threading.main_thread()
-    heads = len(stack.maps)
-    assert len(taken) == heads
-    by_map = [next(thread for x, thread in taken if x is m.data) for m in stack.maps]
-    assert by_map == starts * (heads // 2) + [threading.main_thread()] * (heads - heads // 2)
+    for passes in (1, 2):
+        windows.clear()
+        taken.clear()
+        _, _, stack = model_forward(Tensor(images), params, tc.model, use_bidfl, use_mcdf,
+                                    tc.sigma_sq)
+        assert len(starts) == passes and starts[-1] is not threading.main_thread()
+        assert threading.active_count() == before
+        # each block's halves; the bank's convolutions run whole, on the caller
+        on_worker = [call for call in windows if call[1] is starts[-1]]
+        assert on_worker == [(1, starts[-1])] * 5
+        assert windows.count((1, threading.main_thread())) == 5
+        if not use_mcdf:
+            assert taken == []
+            continue
+        heads = len(stack.maps)
+        by_map = [next(t for x, t in taken if x is m.data) for m in stack.maps]
+        assert by_map == [starts[-1]] * (heads // 2) + \
+            [threading.main_thread()] * (heads - heads // 2)
+    frozen = {name: p.detach() for name, p in params.items()}
+    predict_mask(Tensor(images[:PREDICT_CHUNK]), params, tc.model, use_bidfl, use_mcdf,
+                 tc.sigma_sq)
+    model_encode(Tensor(images), frozen, tc.model, use_bidfl)
+    assert len(starts) == 2
 
 
-@pytest.mark.parametrize("failing", [0, 6], ids=["worker_half", "caller_half"])
-def test_a_variance_error_surfaces_as_itself_with_no_thread_left(failing, monkeypatch):
+@pytest.mark.parametrize("failing, raised", [({0}, 0), ({6}, 6), (set(range(7)), 0)],
+                         ids=["worker_half", "caller_half", "every_map"])
+def test_a_variance_error_surfaces_as_itself_with_no_thread_left(failing, raised,
+                                                                  monkeypatch):
+    """An error in either half surfaces as itself; when both halves raise,
+    the first half's, map 0's, surfaces."""
     params = build_params(TINY, seed=2, use_bidfl=True)
     scores, ran = [], []
 
@@ -419,18 +444,20 @@ def test_a_variance_error_surfaces_as_itself_with_no_thread_left(failing, monkey
         return scores[-1]
 
     def local_variance(x, window):
-        if x is scores[failing].data:
+        k = next(k for k, score in enumerate(scores) if score.data is x)
+        if k in failing:
             ran.append(threading.current_thread())
-            raise Boom(f"variance {failing}")
+            raise Boom(f"variance {k}")
         return engine_local_variance(x, window)
 
     monkeypatch.setattr(mcdf, "classify_upsample", classify_upsample)
     monkeypatch.setattr(autodiff, "_local_variance", local_variance)
     before = threading.active_count()
-    with pytest.raises(Boom, match=f"^variance {failing}$"):
+    with pytest.raises(Boom, match=f"^variance {raised}$"):
         model_forward(Tensor(np.zeros((3, 32, 32))), params, TINY, True, True, 10.0)
     assert threading.active_count() == before
-    assert (ran[0] is threading.main_thread()) == (failing == 6)
+    assert (threading.main_thread() in ran) == (6 in failing)
+    assert (len(set(ran)) == 2) == (len(failing) > 1)
 
 
 def test_predict_mask_memory_does_not_grow_with_batch(desk):
